@@ -31,7 +31,9 @@ class DirectedEdgeIndex:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "DirectedEdgeIndex":
-        return cls((a, b) for a in range(g.v) for b in g.neighborhood(a))
+        # row-major order of the nonzero entries is the lexicographic order
+        heads, tails = np.nonzero(g.dense())
+        return cls(zip(heads.tolist(), tails.tolist()))
 
     def position(self, a: int, b: int) -> int:
         return self._pos[(a, b)]
@@ -60,13 +62,12 @@ class BarMatrix:
 
 def build_bar_matrix(g: Graph) -> BarMatrix:
     """Edge-restricted bar matrix; an edgeless graph yields the empty matrix."""
-    index = DirectedEdgeIndex.from_graph(g)
+    a = g.dense()
+    heads, tails = np.nonzero(a)
+    index = DirectedEdgeIndex(zip(heads.tolist(), tails.tolist()))
     if not index.pairs:
         return BarMatrix(index, np.zeros((0, 0), dtype=np.uint8))
-    heads = np.fromiter((a for a, _ in index.pairs), dtype=np.intp, count=len(index))
-    tails = np.fromiter((b for _, b in index.pairs), dtype=np.intp, count=len(index))
-    a = g.dense()
-    entries = a[np.ix_(heads, heads)] * a[np.ix_(tails, tails)]
+    entries = a[heads][:, heads] * a[tails][:, tails]
     return BarMatrix(index, entries)
 
 
@@ -105,8 +106,10 @@ def bar_diag_table(
     cache = power_cache(bar.entries[None, :, :], modulus)
     out = {}
     for p in powers:
-        per_pair = tuple(cache.diagonals(p)[0])
-        out[p] = BarPowerDiag(p, per_pair, tuple(sorted(per_pair)), cache.traces(p)[0])
+        diag = cache.diag_array(p)[0]
+        out[p] = BarPowerDiag(
+            p, tuple(diag.tolist()), tuple(np.sort(diag).tolist()), cache.traces(p)[0]
+        )
     return out
 
 

@@ -1,13 +1,23 @@
-"""Exact integer matrix powers with 64-bit overflow checking.
+"""Exact integer matrix powers and their diagonals with 64-bit overflow checking.
 
-Every invariant in this package reduces to diagonals of powers of small
-nonnegative integer matrices. Products are evaluated in the cheapest
-representation that is provably exact for the values at hand: float64
-while a safe bound stays below 2**53 (BLAS path), int64 below 2**63,
-arbitrary-precision Python integers beyond that. An entry that leaves the
-unsigned 64-bit range raises :class:`MatrixOverflowError`; callers may
-retry with the dual-prime modular engine, whose residues are still valid
-isomorphism invariants (collision probability about 2**-122 per value).
+Every invariant in this package is a diagonal, or a trace, of a power of
+a small nonnegative integer matrix. Diagonals never form the full power:
+with ``h = p // 2``,
+
+    diag(M^p)[i] = sum_j (M^h)[i, j] * (M^(p-h))[j, i],
+
+which holds for any square matrix, so only the half powers ``M^h`` and
+``M^(p-h)`` are formed (powers 3..9 need M^2..M^5; powers 2..5 need M^2
+and M^3) and the diagonal is their row dot product. Products and row dot
+products are evaluated in the cheapest representation that is provably
+exact for the values at hand: float64 while a safe bound stays below
+2**53 (BLAS path), int64 below 2**63, arbitrary-precision Python integers
+beyond that. A half-power entry or a diagonal value that leaves the
+unsigned 64-bit range raises :class:`MatrixOverflowError`; off-diagonal
+entries of the full power are never formed, so they are not checked.
+Callers may retry with the dual-prime modular engine, whose residues are
+still valid isomorphism invariants (collision probability about 2**-122
+per value).
 """
 
 from __future__ import annotations
@@ -67,106 +77,156 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _int_rows(diag: np.ndarray) -> list[tuple[int, ...]]:
-    if diag.dtype == np.float64:
-        diag = diag.astype(np.int64)
-    return [tuple(int(x) for x in row) for row in diag]
+def checked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact diagonal of ``a @ b`` without forming the product.
+
+    ``out[..., i] = sum_j a[..., i, j] * b[..., j, i]`` for nonnegative
+    integer matrices (2-d or stacked 3-d). The bound and the float64 /
+    int64 / object tiers are those of :func:`checked_matmul`; a diagonal
+    value above U64_MAX raises MatrixOverflowError. The result is int64,
+    or object when the bound passes the int64 range.
+    """
+    inner = a.shape[-1]
+    bound = inner * _entry_max(a) * _entry_max(b)
+    bt = np.swapaxes(b, -1, -2)
+    if bound <= _FLOAT_SAFE:
+        return np.einsum("...ij,...ij->...i", _as_float(a), _as_float(bt)).astype(np.int64)
+    if bound <= _INT64_SAFE:
+        return np.einsum("...ij,...ij->...i", _as_int64(a), _as_int64(bt))
+    diag = (_as_object(a) * _as_object(bt)).sum(axis=-1)
+    if _entry_max(diag) > U64_MAX:
+        raise MatrixOverflowError(
+            "matrix power diagonal exceeds the unsigned 64-bit range; "
+            "retry in modular mode"
+        )
+    return diag
 
 
-class PowerCache:
-    """Cached exact powers of a stack of square nonnegative integer matrices.
+def _row_sums(d: np.ndarray) -> np.ndarray:
+    """Exact sums over the last axis of a nonnegative int64 or object array."""
+    if d.dtype != object and d.shape[-1] * _entry_max(d) > _INT64_SAFE:
+        d = d.astype(object)
+    return d.sum(axis=-1)
 
-    ``base`` has shape (m, k, k); ``power(p)`` returns the stack of p-th
-    powers, computed by repeated squaring with one extra multiply for odd
-    exponents. Intermediate powers are cached so escalating queries reuse
-    earlier work.
+
+class _PowerEngine:
+    """Cached powers of a stack of square matrices and their diagonals.
+
+    ``power(p)`` forms the full p-th power by repeated squaring with one
+    extra multiply for odd exponents. ``diag_array(p)`` forms only the
+    half powers ``h = p // 2`` and ``p - h`` and takes the diagonal as
+    their row dot product, ``diag(M^p)[i] = sum_j M^h[i, j] M^(p-h)[j, i]``,
+    which holds for any square matrix. Powers and diagonals are cached so
+    escalating queries reuse earlier work. Subclasses supply the ring:
+    ``_lift`` (base matrix), ``_mul``, ``_rowdot``, ``_base_diag``,
+    ``diag_array`` and ``trace_array``.
     """
 
     def __init__(self, base: np.ndarray):
         base = np.asarray(base)
         if base.ndim != 3 or base.shape[-1] != base.shape[-2]:
             raise ValueError(f"expected a (m, k, k) stack, got shape {base.shape}")
-        self._pows: dict[int, np.ndarray] = {1: _as_float(base)}
+        self._pows = {1: self._lift(base)}
+        self._diags: dict = {}
 
-    def power(self, p: int) -> np.ndarray:
+    def power(self, p: int):
         if p < 1:
             raise ValueError(f"power must be >= 1, got {p}")
         got = self._pows.get(p)
         if got is None:
             if p % 2 == 0:
                 half = self.power(p // 2)
-                got = checked_matmul(half, half)
+                got = self._mul(half, half)
             else:
-                got = checked_matmul(self.power(p - 1), self._pows[1])
+                got = self._mul(self.power(p - 1), self._pows[1])
             self._pows[p] = got
+        return got
+
+    def _diag(self, p: int):
+        if p < 1:
+            raise ValueError(f"power must be >= 1, got {p}")
+        got = self._diags.get(p)
+        if got is None:
+            h = p // 2
+            got = self._rowdot(self.power(h), self.power(p - h)) if h else self._base_diag()
+            self._diags[p] = got
         return got
 
     def diagonals(self, p: int) -> list[tuple[int, ...]]:
         """Unsorted diagonal of the p-th power, one tuple per stacked matrix."""
-        return _int_rows(np.diagonal(self.power(p), axis1=-2, axis2=-1))
+        return [tuple(row) for row in self.diag_array(p).tolist()]
 
     def traces(self, p: int) -> list[int]:
-        return [sum(row) for row in self.diagonals(p)]
+        return self.trace_array(p).tolist()
 
 
-class ModularPowerCache:
+class PowerCache(_PowerEngine):
+    """Exact checked powers of a stack of square nonnegative integer matrices.
+
+    ``base`` has shape (m, k, k). ``diag_array(p)`` and ``trace_array(p)``
+    give the (m, k) diagonals and (m,) traces of the p-th powers as int64
+    arrays, or object arrays of Python ints past the int64 range.
+    """
+
+    def _lift(self, base: np.ndarray) -> np.ndarray:
+        return _as_float(base)
+
+    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return checked_matmul(a, b)
+
+    def _rowdot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return checked_rowdot(a, b)
+
+    def _base_diag(self) -> np.ndarray:
+        return np.diagonal(self._pows[1], axis1=-2, axis2=-1).astype(np.int64)
+
+    def diag_array(self, p: int) -> np.ndarray:
+        return self._diag(p)
+
+    def trace_array(self, p: int) -> np.ndarray:
+        return _row_sums(self._diag(p))
+
+
+class ModularPowerCache(_PowerEngine):
     """Powers of a matrix stack with entries reduced modulo two fixed primes.
 
     Residue pairs (x mod p1, x mod p2) are reported as the single integer
     ``r1 * p2 + r2``, an injective encoding that remains a relabeling
-    invariant. Traces are reduced per prime before encoding, so the trace
-    of a power still equals the encoded sum of its true diagonal.
+    invariant. Diagonal row dot products and traces are reduced per prime
+    before encoding, so the trace of a power still equals the encoded sum
+    of its true diagonal.
     """
 
     def __init__(self, base: np.ndarray, modulus: tuple[int, int] = DEFAULT_MODULUS):
-        base = np.asarray(base)
-        if base.ndim != 3 or base.shape[-1] != base.shape[-2]:
-            raise ValueError(f"expected a (m, k, k) stack, got shape {base.shape}")
         p1, p2 = modulus
         if p1 <= 1 or p2 <= 1 or p1 == p2:
             raise ValueError(f"modulus must be two distinct primes > 1, got {modulus}")
         self.modulus = (int(p1), int(p2))
+        super().__init__(base)
+
+    def _lift(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = _as_object(base)
-        self._pows: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            1: (b % p1, b % p2)
-        }
+        return tuple(b % q for q in self.modulus)
 
-    def power(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        if p < 1:
-            raise ValueError(f"power must be >= 1, got {p}")
-        got = self._pows.get(p)
-        if got is None:
-            if p % 2 == 0:
-                h1, h2 = self.power(p // 2)
-                got = ((h1 @ h1) % self.modulus[0], (h2 @ h2) % self.modulus[1])
-            else:
-                q1, q2 = self.power(p - 1)
-                b1, b2 = self._pows[1]
-                got = ((q1 @ b1) % self.modulus[0], (q2 @ b2) % self.modulus[1])
-            self._pows[p] = got
-        return got
+    def _mul(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        return tuple((x @ y) % q for x, y, q in zip(a, b, self.modulus))
 
-    def _encode(self, r1: int, r2: int) -> int:
-        return int(r1) * self.modulus[1] + int(r2)
+    def _rowdot(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(
+            (x * np.swapaxes(y, -1, -2)).sum(axis=-1) % q
+            for x, y, q in zip(a, b, self.modulus)
+        )
 
-    def diagonals(self, p: int) -> list[tuple[int, ...]]:
-        m1, m2 = self.power(p)
-        d1 = np.diagonal(m1, axis1=-2, axis2=-1)
-        d2 = np.diagonal(m2, axis1=-2, axis2=-1)
-        return [
-            tuple(self._encode(x, y) for x, y in zip(r1, r2))
-            for r1, r2 in zip(d1, d2)
-        ]
+    def _base_diag(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.diagonal(x, axis1=-2, axis2=-1) for x in self._pows[1])
 
-    def traces(self, p: int) -> list[int]:
-        m1, m2 = self.power(p)
-        d1 = np.diagonal(m1, axis1=-2, axis2=-1)
-        d2 = np.diagonal(m2, axis1=-2, axis2=-1)
-        return [
-            self._encode(sum(map(int, r1)) % self.modulus[0],
-                         sum(map(int, r2)) % self.modulus[1])
-            for r1, r2 in zip(d1, d2)
-        ]
+    def diag_array(self, p: int) -> np.ndarray:
+        d1, d2 = self._diag(p)
+        return d1 * self.modulus[1] + d2
+
+    def trace_array(self, p: int) -> np.ndarray:
+        (d1, d2), (q1, q2) = self._diag(p), self.modulus
+        return d1.sum(axis=-1) % q1 * q2 + d2.sum(axis=-1) % q2
 
 
 def power_cache(base: np.ndarray, modulus: tuple[int, int] | None = None):

@@ -144,7 +144,9 @@ class _GraphState:
         return tuple(sorted(rows, key=row_sort_key))
 
     def outblock_payload(self, powers: tuple[int, ...], mode: InvariantMode):
-        ob = outblock_signature(self.graph, powers, mode, modulus=self.modulus)
+        ob = outblock_signature(
+            self.graph, powers, mode, modulus=self.modulus, nbhd=self.nbhd
+        )
         tail = ob.tail.rows if ob.tail is not None else None
         return (ob.refined, ob.base.rows, tail)
 

@@ -90,25 +90,21 @@ def _restricted_power_table(
 ) -> tuple[dict[int, list[tuple[int, ...]]], dict[int, list[int]]]:
     """Sorted diagonals and traces of (A|_{N_a})^p for every vertex at once.
 
-    Vertices are batched by degree so each batch is one stacked matrix
-    power; a k-regular graph is a single (v, k, k) stack.
+    Vertices are batched by degree, and each batch is gathered in one step
+    into a stacked matrix; a k-regular graph is a single (v, k, k) stack.
     """
     dense = g.dense()
-    by_degree: dict[int, list[int]] = {}
-    for a in range(g.v):
-        by_degree.setdefault(g.degree(a), []).append(a)
-
+    degrees = dense.sum(axis=1)
     diag: dict[int, list] = {p: [None] * g.v for p in powers}
     trace: dict[int, list] = {p: [None] * g.v for p in powers}
-    for d, verts in by_degree.items():
-        subs = [dense[np.ix_(g.neighborhood(a), g.neighborhood(a))] for a in verts]
-        stack = np.stack(subs) if subs else np.zeros((0, d, d), dtype=np.uint8)
-        cache = power_cache(stack, modulus)
+    for d in np.unique(degrees).tolist():
+        verts = np.flatnonzero(degrees == d)
+        nb = np.nonzero(dense[verts])[1].reshape(len(verts), d)
+        cache = power_cache(dense[nb[:, :, None], nb[:, None, :]], modulus)
         for p in powers:
-            rows = cache.diagonals(p)
-            traces = cache.traces(p)
-            for a, row, t in zip(verts, rows, traces):
-                diag[p][a] = tuple(sorted(row))
+            rows = np.sort(cache.diag_array(p), axis=1).tolist()
+            for a, row, t in zip(verts.tolist(), rows, cache.trace_array(p).tolist()):
+                diag[p][a] = tuple(row)
                 trace[p][a] = t
     return diag, trace
 
@@ -147,16 +143,9 @@ class NeighborhoodPowerCache:
     ) -> list[tuple[int, ...]]:
         """Per-vertex concatenation across powers, in vertex order."""
         self.ensure(powers)
-        out = []
-        for a in range(self.graph.v):
-            vals: list[int] = []
-            for p in powers:
-                if mode is InvariantMode.TRACE:
-                    vals.append(self._trace[p][a])
-                else:
-                    vals.extend(self._diag[p][a])
-            out.append(tuple(vals))
-        return out
+        if mode is InvariantMode.TRACE:
+            return list(zip(*(self._trace[p] for p in powers)))
+        return [sum(rows, ()) for rows in zip(*(self._diag[p] for p in powers))]
 
 
 def nbhd_power_diag(
@@ -231,19 +220,28 @@ def outblock_signature(
     mode: InvariantMode,
     *,
     modulus: tuple[int, int] | None = None,
+    nbhd: NeighborhoodPowerCache | None = None,
 ) -> OutblockSignature:
     """Base signature plus the signature after deleting the first block.
 
     The "first block" is the one with the lexicographically smallest
-    signature; removal happens exactly once.
+    signature; removal happens exactly once. ``nbhd``, a cache of ``g``
+    under the same modulus, supplies the base signature from the powers
+    it already holds; only the tail subgraph is computed fresh.
     """
     powers = _validate_powers(powers)
-    sigs = vertex_signatures(g, powers, mode, modulus=modulus)
+    if nbhd is None:
+        nbhd = NeighborhoodPowerCache(g, modulus)
+    elif nbhd.graph != g or nbhd.modulus != modulus:
+        raise ValueError("nbhd must be a cache of g under the same modulus")
+    values = nbhd.signature_values(powers, mode)
+    sigs = [VertexSignature(a, vals) for a, vals in enumerate(values)]
     base = GraphSignature(tuple(sorted((s.values for s in sigs), key=row_sort_key)))
     part = partition_vertices(sigs)
     if len(part.blocks) < 2:
         return OutblockSignature(base, False, (), None)
     removed = part.blocks[0]
-    keep = tuple(a for a in range(g.v) if a not in set(removed))
+    gone = set(removed)
+    keep = tuple(a for a in range(g.v) if a not in gone)
     tail = graph_signature(g.induced_subgraph(keep), powers, mode, modulus=modulus)
     return OutblockSignature(base, True, removed, tail)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from srginv import matpow
+
 
 def dataset_location() -> Path | None:
     """Directory with the Spence SRG dataset files, if the user provided one."""
@@ -24,3 +26,17 @@ def dataset_dir() -> Path:
             "directory to run the dataset reproduction criteria"
         )
     return loc
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch) -> list:
+    """Shapes of the ``checked_matmul`` products made while a test runs."""
+    calls = []
+    real = matpow.checked_matmul
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(matpow, "checked_matmul", counting)
+    return calls

@@ -3,6 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from srginv import matpow
+from srginv.catalog import paley_graph
+from srginv.edgeinv import bar_diag_table
 from srginv.matpow import (
     DEFAULT_MODULUS,
     U64_MAX,
@@ -10,8 +13,10 @@ from srginv.matpow import (
     ModularPowerCache,
     PowerCache,
     checked_matmul,
+    checked_rowdot,
     power_cache,
 )
+from srginv.vertexinv import NeighborhoodPowerCache
 
 
 def random_01_stack(m, k, seed):
@@ -156,3 +161,78 @@ def test_invalid_powers_rejected():
 
 def test_u64_max_constant():
     assert U64_MAX == 2**64 - 1
+
+
+# thresholds lowered so one small stack runs every arithmetic path
+TIERS = {
+    "float64": {},
+    "int64": {"_FLOAT_SAFE": 0},
+    "object": {"_FLOAT_SAFE": 0, "_INT64_SAFE": 0},
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
+    for name, value in TIERS[tier].items():
+        monkeypatch.setattr(matpow, name, value)
+    stack = random_01_stack(3, 6, 100 + seed)
+    assert any(not np.array_equal(m, m.T) for m in stack)
+    halves, full = PowerCache(stack), PowerCache(stack)
+    for p in range(1, 14):
+        want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
+        got = halves.diag_array(p)
+        assert got.dtype == (object if tier == "object" and p > 1 else np.int64)
+        assert got.tolist() == want
+        assert np.diagonal(full.power(p), axis1=1, axis2=2).tolist() == want
+        assert halves.traces(p) == [sum(row) for row in want]
+        assert halves.diagonals(p) == [tuple(row) for row in want]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_modular_diagonal_kernel_matches_encoded_residues(seed):
+    # the multiplier pushes entries past both primes, so reduction matters
+    stack = random_01_stack(3, 6, 200 + seed).astype(object) * (2**40 + 7)
+    mod = ModularPowerCache(stack, DEFAULT_MODULUS)
+    p1, p2 = DEFAULT_MODULUS
+    for p in range(1, 14):
+        want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
+        assert mod.diag_array(p).tolist() == [
+            [(x % p1) * p2 + x % p2 for x in row] for row in want
+        ]
+        assert mod.traces(p) == [(sum(row) % p1) * p2 + sum(row) % p2 for row in want]
+
+
+def test_rowdot_tiers_at_their_bounds():
+    def one(x):
+        return np.array([[[x]]], dtype=object)
+
+    assert checked_rowdot(one(2**26), one(2**27)).tolist() == [[2**53]]  # float64
+    assert checked_rowdot(one(2**31), one(2**31)).tolist() == [[2**62]]  # int64
+    big = checked_rowdot(one(2**32 - 1), one(2**32 - 1))  # object, still in u64
+    assert big.tolist() == [[(2**32 - 1) ** 2]]
+    with pytest.raises(MatrixOverflowError):
+        checked_rowdot(one(2**32), one(2**32))
+
+
+def test_diagonal_overflow_raises_on_u64_boundary():
+    cache = PowerCache(np.array([[[2**32 - 1]]], dtype=object))
+    assert cache.diag_array(2).tolist() == [[(2**32 - 1) ** 2]]
+    with pytest.raises(MatrixOverflowError):
+        cache.diag_array(4)
+
+
+def test_traces_past_int64_stay_exact():
+    # each diagonal entry is 2^62 (int64 path); their sum 2^63 is not
+    cache = PowerCache(np.ones((1, 2, 2), dtype=np.uint8))
+    assert cache.diag_array(63).tolist() == [[2**62, 2**62]]
+    assert cache.traces(63) == [2**63]
+
+
+def test_kernel_forms_only_half_powers(matmul_calls):
+    g = paley_graph(13)
+    bar_diag_table(g, (2, 3, 4, 5))
+    assert len(matmul_calls) == 2  # B^2 and B^3
+    matmul_calls.clear()
+    NeighborhoodPowerCache(g).trace(3)
+    assert len(matmul_calls) == 1  # the stacked square of the neighborhood matrices

@@ -1,8 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from srginv.catalog import cycle_graph, petersen_graph
+from srginv.catalog import (
+    chang_graphs,
+    cycle_graph,
+    petersen_graph,
+    rook_graph,
+    shrikhande_graph,
+    triangular_graph,
+)
 from srginv.graph import Graph, SrgParams, check_srg
 from srginv.isomorphism import are_isomorphic, random_relabel
 from srginv.matpow import DEFAULT_MODULUS
@@ -381,3 +389,40 @@ def test_text_report_marks_complete_families():
     assert "2*" in text
     full = dataset_report(entries).to_text(show_all=True)
     assert len(full) >= len(text)
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+
+
+def drop_edge(g: Graph, a: int, b: int) -> Graph:
+    return Graph.from_edges(
+        g.v,
+        [(x, y) for x in range(g.v) for y in g.neighborhood(x) if x < y and (x, y) != (a, b)],
+    )
+
+
+def golden_dataset_text(modular: bool) -> str:
+    """Rook(4) and Shrikhande, T(8) and the Chang graphs, seeded relabelled
+    copies, and a non-SRG family whose graphs have two degree classes.
+
+    The relabelled Chang graph, which sends a 336-edge bar matrix through
+    the edge stages, is left out in modular mode: its object-dtype
+    products alone take several seconds.
+    """
+    rook, shri, t8 = rook_graph(4), shrikhande_graph(), triangular_graph(8)
+    changs = chang_graphs()
+    rook_cut = drop_edge(rook, 0, 1)
+    graphs = [rook, shri, random_relabel(shri, 11)[0], t8, *changs]
+    if not modular:
+        graphs.append(random_relabel(changs[1], 12)[0])
+    graphs += [rook_cut, drop_edge(shri, 0, 1), random_relabel(rook_cut, 13)[0]]
+    return "\n".join(g.to_graph6() for g in graphs)
+
+
+@pytest.mark.parametrize("modular", [False, True], ids=["exact", "modular"])
+def test_report_matches_golden(modular):
+    entries = load_dataset_text(golden_dataset_text(modular), allow_non_srg=True)
+    modulus = DEFAULT_MODULUS if modular else None
+    got = dataset_report(entries, modulus=modulus).to_json() + "\n"
+    name = "golden_report_modular.json" if modular else "golden_report_exact.json"
+    assert got == (GOLDEN_DIR / name).read_text()

@@ -6,6 +6,7 @@ from srginv.isomorphism import apply_permutation, count_closed_walks, random_rel
 from srginv.matpow import DEFAULT_MODULUS
 from srginv.vertexinv import (
     InvariantMode,
+    NeighborhoodPowerCache,
     graph_signature,
     nbhd_power_diag,
     outblock_signature,
@@ -274,3 +275,24 @@ def test_relabel_invariance_in_modular_mode():
     assert graph_signature(g, [3, 4], SD, modulus=DEFAULT_MODULUS) == graph_signature(
         h, [3, 4], SD, modulus=DEFAULT_MODULUS
     )
+
+
+def test_outblock_reuses_the_graph_cache(matmul_calls):
+    graph_signature(complete_graph(3), [2, 3], SD)
+    tail_products = len(matmul_calls)
+    g = paw_graph()
+    nbhd = NeighborhoodPowerCache(g)
+    nbhd.ensure((2, 3))
+    matmul_calls.clear()
+    ob = outblock_signature(g, [2, 3], SD, nbhd=nbhd)
+    assert len(matmul_calls) == tail_products  # the base signature came from nbhd
+    assert ob == outblock_signature(g, [2, 3], SD)
+    assert ob.tail == graph_signature(complete_graph(3), [2, 3], SD)
+
+
+def test_outblock_rejects_a_foreign_cache():
+    g = paw_graph()
+    with pytest.raises(ValueError, match="same modulus"):
+        outblock_signature(g, [2], SD, nbhd=NeighborhoodPowerCache(complete_graph(4)))
+    with pytest.raises(ValueError, match="same modulus"):
+        outblock_signature(g, [2], SD, nbhd=NeighborhoodPowerCache(g, DEFAULT_MODULUS))
