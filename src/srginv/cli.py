@@ -17,9 +17,9 @@ import json
 import sys
 from pathlib import Path
 
-from .edgeinv import bar_diag_table, edge_partition
+from .edgeinv import bar_diag_table, partition_edges
 from .graph import Graph, GraphFormatError, parse_graphs, srg_diagnosis
-from .matpow import DEFAULT_MODULUS, MatrixOverflowError
+from .matpow import DEFAULT_MODULUS, MatrixOverflowError, check_powers
 from .pipeline import (
     DatasetError,
     LadderConfig,
@@ -31,8 +31,8 @@ from .pipeline import (
 )
 from .vertexinv import (
     InvariantMode,
-    graph_signature,
     partition_vertices,
+    row_sort_key,
     vertex_signatures,
 )
 
@@ -44,14 +44,7 @@ def _parse_powers(text: str, minimum: int) -> tuple[int, ...]:
         powers = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"bad power list {text!r} (expected e.g. 3,4)") from None
-    prev = minimum - 1
-    for p in powers:
-        if p < minimum:
-            raise ValueError(f"powers must be >= {minimum}, got {p}")
-        if p <= prev:
-            raise ValueError(f"powers must be strictly ascending, got {text!r}")
-        prev = p
-    return powers
+    return check_powers(powers, minimum)
 
 
 def _load_ladder(choice: str) -> LadderConfig:
@@ -120,7 +113,7 @@ def cmd_vertex_inv(args) -> int:
     for name, idx, g in _read_graphs(args.files, args.format):
         sigs = vertex_signatures(g, powers, mode, modulus=modulus)
         part = partition_vertices(sigs)
-        sig = graph_signature(g, powers, mode, modulus=modulus)
+        rows = sorted((s.values for s in sigs), key=row_sort_key)
         params, _ = srg_diagnosis(g) if g.v >= 2 else (None, None)
         out.append(
             {
@@ -128,7 +121,7 @@ def cmd_vertex_inv(args) -> int:
                 "index": idx,
                 "params": params.key() if params else None,
                 "vertex_signatures": [list(s.values) for s in sigs],
-                "graph_signature": [list(r) for r in sig.rows],
+                "graph_signature": [list(r) for r in rows],
                 "partition": [list(b) for b in part.blocks],
                 "blocks": len(part.blocks),
             }
@@ -156,7 +149,7 @@ def cmd_edge_inv(args) -> int:
     out = []
     for name, idx, g in _read_graphs(args.files, args.format):
         table = bar_diag_table(g, powers, modulus=modulus)
-        part = edge_partition(g, powers[-1], modulus=modulus) if g.edge_count else None
+        part = partition_edges(g, table[powers[-1]])
         values = {
             str(p): (
                 [table[p].trace]
@@ -171,7 +164,7 @@ def cmd_edge_inv(args) -> int:
                 "index": idx,
                 "directed_edges": 2 * g.edge_count,
                 "values": values,
-                "partition": part.undirected_triples() if part else [],
+                "partition": part.undirected_triples(),
                 "partition_power": powers[-1],
             }
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .matpow import power_cache
+from .matpow import check_powers, power_cache
 from .vertexinv import InvariantMode
 
 
@@ -81,25 +81,11 @@ class BarPowerDiag:
     trace: int
 
 
-def _validate_edge_powers(powers) -> tuple[int, ...]:
-    powers = tuple(int(p) for p in powers)
-    if not powers:
-        raise ValueError("power list must be nonempty")
-    prev = 1
-    for p in powers:
-        if p < 2:
-            raise ValueError(f"edge powers must be >= 2, got {p}")
-        if p <= prev:
-            raise ValueError(f"powers must be strictly ascending, got {powers}")
-        prev = p
-    return powers
-
-
 def bar_diag_table(
     g: Graph, powers, *, modulus: tuple[int, int] | None = None
 ) -> dict[int, BarPowerDiag]:
     """Diagonals of bar-matrix powers, all requested powers in one pass."""
-    powers = _validate_edge_powers(powers)
+    powers = check_powers(powers, minimum=2)
     bar = build_bar_matrix(g)
     if bar.is_empty:
         return {p: BarPowerDiag(p, (), (), 0) for p in powers}
@@ -163,8 +149,12 @@ class EdgePartition:
 def edge_partition(
     g: Graph, p: int, *, modulus: tuple[int, int] | None = None
 ) -> EdgePartition:
-    table = bar_diag_table(g, (p,), modulus=modulus)
-    diag = table[p]
+    return partition_edges(g, bar_diag_table(g, (p,), modulus=modulus)[p])
+
+
+def partition_edges(g: Graph, diag: BarPowerDiag) -> EdgePartition:
+    """Directed edges of ``g`` grouped by their values in ``diag``, a bar
+    power diagonal of ``g`` from :func:`bar_diag_table`."""
     index = DirectedEdgeIndex.from_graph(g)
     groups: dict[int, list[tuple[int, int]]] = {}
     for pair, value in zip(index.pairs, diag.per_pair):
@@ -172,4 +162,4 @@ def edge_partition(
     blocks = tuple(
         EdgeBlock(value, tuple(groups[value])) for value in sorted(groups)
     )
-    return EdgePartition(p, blocks)
+    return EdgePartition(diag.power, blocks)

@@ -22,6 +22,8 @@ per value).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 U64_MAX = 2**64 - 1
@@ -34,6 +36,30 @@ DEFAULT_MODULUS = (2305843009213693951, 2305843009213693921)
 
 class MatrixOverflowError(OverflowError):
     """An entry of a matrix power left the unsigned 64-bit range."""
+
+
+def check_powers(powers, minimum: int = 1) -> tuple[int, ...]:
+    """A power list as a tuple of Python ints: nonempty, strictly ascending,
+    every entry an integer >= ``minimum``.
+
+    Entries go through ``operator.index``, so numpy integers pass while
+    bool, float and str entries raise ValueError like any other bad list.
+    """
+    out = []
+    for p in powers:
+        try:
+            if isinstance(p, bool):
+                raise TypeError
+            out.append(operator.index(p))
+        except TypeError:
+            raise ValueError(f"powers must be integers, got {p!r}") from None
+    if not out:
+        raise ValueError("power list must be nonempty")
+    if out[0] < minimum:
+        raise ValueError(f"powers must be >= {minimum}, got {out[0]}")
+    if any(a >= b for a, b in zip(out, out[1:])):
+        raise ValueError(f"powers must be strictly ascending, got {tuple(out)}")
+    return tuple(out)
 
 
 def _entry_max(m: np.ndarray) -> int:

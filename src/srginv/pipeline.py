@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .edgeinv import BarPowerDiag, bar_diag_table
 from .graph import Graph, GraphFormatError, SrgParams, parse_graphs, srg_diagnosis
+from .matpow import check_powers
 from .vertexinv import (
     GraphSignature,
     InvariantMode,
@@ -40,18 +41,8 @@ class LadderStage:
     powers: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.powers:
-            raise ValueError("stage power list must be nonempty")
-        prev = 0
-        for p in self.powers:
-            if p <= prev:
-                raise ValueError(f"stage powers must be strictly ascending, got {self.powers}")
-            prev = p
         floor = 2 if self.kind is StageKind.EDGE else 1
-        if self.powers[0] < floor:
-            raise ValueError(
-                f"{self.kind.value} stage powers must be >= {floor}, got {self.powers}"
-            )
+        object.__setattr__(self, "powers", check_powers(self.powers, floor))
 
     def label(self) -> str:
         hi = self.powers[-1]
@@ -139,18 +130,17 @@ class _GraphState:
         self.nbhd = NeighborhoodPowerCache(g, modulus)
         self._edge: dict[int, BarPowerDiag] = {}
 
-    def vertex_payload(self, powers: tuple[int, ...], mode: InvariantMode):
-        rows = self.nbhd.signature_values(powers, mode)
-        return tuple(sorted(rows, key=row_sort_key))
-
-    def outblock_payload(self, powers: tuple[int, ...], mode: InvariantMode):
-        ob = outblock_signature(
-            self.graph, powers, mode, modulus=self.modulus, nbhd=self.nbhd
-        )
-        tail = ob.tail.rows if ob.tail is not None else None
-        return (ob.refined, ob.base.rows, tail)
-
-    def edge_payload(self, powers: tuple[int, ...], mode: InvariantMode):
+    def payload(self, stage: LadderStage) -> tuple:
+        """This graph's values under ``stage``: nested tuples of Python ints,
+        equal for two graphs exactly when the stage cannot separate them."""
+        powers, mode = stage.powers, stage.mode
+        if stage.kind is StageKind.VERTEX:
+            return tuple(sorted(self.nbhd.signature_values(powers, mode), key=row_sort_key))
+        if stage.kind is StageKind.VERTEX_OUTBLOCK:
+            ob = outblock_signature(
+                self.graph, powers, mode, modulus=self.modulus, nbhd=self.nbhd
+            )
+            return (ob.refined, ob.base.rows, ob.tail.rows if ob.tail is not None else None)
         missing = tuple(p for p in powers if p not in self._edge)
         if missing:
             self._edge.update(bar_diag_table(self.graph, missing, modulus=self.modulus))
@@ -170,16 +160,6 @@ class _GraphState:
             if any(row != first for row in diag):
                 return False
         return True
-
-
-def _stage_payload(state: _GraphState, stage: LadderStage) -> bytes:
-    if stage.kind is StageKind.VERTEX:
-        data = state.vertex_payload(stage.powers, stage.mode)
-    elif stage.kind is StageKind.VERTEX_OUTBLOCK:
-        data = state.outblock_payload(stage.powers, stage.mode)
-    else:
-        data = state.edge_payload(stage.powers, stage.mode)
-    return repr(data).encode()
 
 
 @dataclass(frozen=True)
@@ -283,9 +263,10 @@ def distinguish_family(
             break
         new_groups: list[list[int]] = []
         for grp in groups:
-            seen: dict[bytes, list[int]] = {}
+            # payloads are the keys: hashed, then compared in full
+            seen: dict[tuple, list[int]] = {}
             for i in grp:
-                seen.setdefault(_stage_payload(states[i], stage), []).append(i)
+                seen.setdefault(states[i].payload(stage), []).append(i)
             for members in seen.values():
                 if len(members) == 1:
                     singletons += 1
@@ -365,7 +346,7 @@ def compare_pair(
     ladder = ladder or default_ladder()
     s1, s2 = _GraphState(g1, modulus), _GraphState(g2, modulus)
     for i, stage in enumerate(ladder.stages, start=1):
-        if _stage_payload(s1, stage) != _stage_payload(s2, stage):
+        if s1.payload(stage) != s2.payload(stage):
             return PairVerdict(True, i, stage)
     return PairVerdict(False, None, None)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, SrgParams
-from .matpow import power_cache
+from .matpow import check_powers, power_cache
 
 
 class InvariantMode(enum.Enum):
@@ -71,50 +71,12 @@ def row_sort_key(values: tuple[int, ...]):
     return (len(values), values)
 
 
-def _validate_powers(powers) -> tuple[int, ...]:
-    powers = tuple(int(p) for p in powers)
-    if not powers:
-        raise ValueError("power list must be nonempty")
-    prev = 0
-    for p in powers:
-        if p < 1:
-            raise ValueError(f"powers must be >= 1, got {p}")
-        if p <= prev:
-            raise ValueError(f"powers must be strictly ascending, got {powers}")
-        prev = p
-    return powers
-
-
-def _restricted_power_table(
-    g: Graph, powers: tuple[int, ...], modulus: tuple[int, int] | None
-) -> tuple[dict[int, list[tuple[int, ...]]], dict[int, list[int]]]:
-    """Sorted diagonals and traces of (A|_{N_a})^p for every vertex at once.
-
-    Vertices are batched by degree, and each batch is gathered in one step
-    into a stacked matrix; a k-regular graph is a single (v, k, k) stack.
-    """
-    dense = g.dense()
-    degrees = dense.sum(axis=1)
-    diag: dict[int, list] = {p: [None] * g.v for p in powers}
-    trace: dict[int, list] = {p: [None] * g.v for p in powers}
-    for d in np.unique(degrees).tolist():
-        verts = np.flatnonzero(degrees == d)
-        nb = np.nonzero(dense[verts])[1].reshape(len(verts), d)
-        cache = power_cache(dense[nb[:, :, None], nb[:, None, :]], modulus)
-        for p in powers:
-            rows = np.sort(cache.diag_array(p), axis=1).tolist()
-            for a, row, t in zip(verts.tolist(), rows, cache.trace_array(p).tolist()):
-                diag[p][a] = tuple(row)
-                trace[p][a] = t
-    return diag, trace
-
-
 class NeighborhoodPowerCache:
     """Per-vertex diagonals/traces of neighborhood powers, cached by power.
 
-    Only the small diagonal tuples persist; matrices are dropped after each
-    batch, so this stays cheap enough to keep alive per graph across the
-    escalation ladder.
+    Only the small diagonal tuples persist; matrices are dropped when
+    ``ensure`` returns, so this stays cheap enough to keep alive per graph
+    across the escalation ladder.
     """
 
     def __init__(self, g: Graph, modulus: tuple[int, int] | None = None):
@@ -124,11 +86,30 @@ class NeighborhoodPowerCache:
         self._trace: dict[int, list[int]] = {}
 
     def ensure(self, powers) -> None:
-        missing = tuple(sorted(set(powers) - self._diag.keys()))
-        if missing:
-            diag, trace = _restricted_power_table(self.graph, missing, self.modulus)
-            self._diag.update(diag)
-            self._trace.update(trace)
+        """Sorted diagonals and traces of (A|_{N_a})^p for every vertex, for
+        each power not cached yet.
+
+        Vertices are batched by degree, and each batch is gathered in one
+        step into a stacked matrix; a k-regular graph is a single (v, k, k)
+        stack.
+        """
+        missing = sorted(set(powers) - self._diag.keys())
+        if not missing:
+            return
+        dense = self.graph.dense()
+        degrees = dense.sum(axis=1)
+        caches = []
+        for d in np.unique(degrees).tolist():
+            verts = np.flatnonzero(degrees == d)
+            nb = np.nonzero(dense[verts])[1].reshape(len(verts), d)
+            caches.append(power_cache(dense[nb[:, :, None], nb[:, None, :]], self.modulus))
+        # batches run in ascending degree; `back` puts their rows in vertex order
+        back = np.argsort(np.argsort(degrees, kind="stable")).tolist()
+        for p in missing:
+            rows = [tuple(r) for c in caches for r in np.sort(c.diag_array(p), axis=1).tolist()]
+            traces = [t for c in caches for t in c.trace_array(p).tolist()]
+            self._diag[p] = [rows[i] for i in back]
+            self._trace[p] = [traces[i] for i in back]
 
     def diag(self, p: int) -> list[tuple[int, ...]]:
         self.ensure((p,))
@@ -175,7 +156,7 @@ def vertex_signatures(
     *,
     modulus: tuple[int, int] | None = None,
 ) -> list[VertexSignature]:
-    powers = _validate_powers(powers)
+    powers = check_powers(powers)
     cache = NeighborhoodPowerCache(g, modulus)
     values = cache.signature_values(powers, mode)
     return [VertexSignature(a, vals) for a, vals in enumerate(values)]
@@ -229,7 +210,7 @@ def outblock_signature(
     under the same modulus, supplies the base signature from the powers
     it already holds; only the tail subgraph is computed fresh.
     """
-    powers = _validate_powers(powers)
+    powers = check_powers(powers)
     if nbhd is None:
         nbhd = NeighborhoodPowerCache(g, modulus)
     elif nbhd.graph != g or nbhd.modulus != modulus:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from srginv.catalog import complete_graph, path_graph, petersen_graph
+from srginv.catalog import complete_graph, paley_graph, path_graph, petersen_graph
 from srginv.cli import main
 from srginv.isomorphism import random_relabel
 
@@ -74,6 +74,20 @@ def test_edge_inv_json(tmp_path, capsys):
     assert entry["values"]["2"] == [18]
     assert entry["values"]["3"] == [12]
     assert entry["partition"] == [[0, 1, 2], [0, 2, 2], [1, 2, 2]]
+
+
+def test_vertex_inv_computes_signatures_once(tmp_path, capsys, matmul_calls):
+    f = write(tmp_path, "paley13.g6", paley_graph(13))
+    assert main(["vertex-inv", f, "--powers", "3"]) == 0
+    capsys.readouterr()
+    assert len(matmul_calls) == 1  # P^2 of the neighbourhood stack
+
+
+def test_edge_inv_computes_bar_powers_once(tmp_path, capsys, matmul_calls):
+    f = write(tmp_path, "paley13.g6", paley_graph(13))
+    assert main(["edge-inv", f, "--powers", "2,3,4,5"]) == 0
+    capsys.readouterr()
+    assert len(matmul_calls) == 2  # B^2 and B^3
 
 
 def test_edge_inv_rejects_power_one(tmp_path, capsys):
@@ -183,6 +197,14 @@ def test_malformed_ladder_file(tmp_path, capsys):
     fb = write(tmp_path, "b.g6", FX["shrikhande"])
     assert main(["compare", fa, fb, "--ladder", str(lf)]) == 1
     assert "ladder" in capsys.readouterr().err
+
+
+def test_ladder_file_with_non_integer_powers(tmp_path, capsys):
+    f = write(tmp_path, "fam.g6", FX["rook4"], FX["shrikhande"])
+    lf = tmp_path / "ladder.json"
+    lf.write_text(json.dumps({"stages": [{"kind": "vertex", "mode": "trace", "powers": [4.0]}]}))
+    assert main(["report", f, "--ladder", str(lf)]) == 1
+    assert "powers must be integers, got 4.0" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srginv.catalog import (
@@ -11,9 +12,10 @@ from srginv.catalog import (
     shrikhande_graph,
     triangular_graph,
 )
+from srginv.edgeinv import bar_diag_table
 from srginv.graph import Graph, SrgParams, check_srg
 from srginv.isomorphism import are_isomorphic, random_relabel
-from srginv.matpow import DEFAULT_MODULUS
+from srginv.matpow import DEFAULT_MODULUS, check_powers
 from srginv.pipeline import (
     DatasetError,
     LadderConfig,
@@ -27,7 +29,7 @@ from srginv.pipeline import (
     load_dataset,
     load_dataset_text,
 )
-from srginv.vertexinv import InvariantMode
+from srginv.vertexinv import InvariantMode, vertex_signatures
 
 from helpers import er_graph, fixture_graphs
 
@@ -71,6 +73,46 @@ def test_stage_validation():
         LadderStage(StageKind.VERTEX, InvariantMode.TRACE, ())
     with pytest.raises(ValueError):
         LadderConfig(())
+    for powers in ([4.0], [True, 3], [3.5]):
+        text = json.dumps({"stages": [{"kind": "vertex", "mode": "trace", "powers": powers}]})
+        with pytest.raises(ValueError, match="integers"):
+            LadderConfig.from_json(text)
+
+
+# every entry point that takes a power list, with its floor
+POWER_LIST_ENTRIES = {
+    "vertex_signatures": (1, lambda ps: vertex_signatures(FX["petersen"], ps, InvariantMode.TRACE)),
+    "bar_diag_table": (2, lambda ps: bar_diag_table(FX["petersen"], ps)),
+    "vertex stage": (1, lambda ps: LadderStage(StageKind.VERTEX, InvariantMode.TRACE, ps)),
+    "edge stage": (2, lambda ps: LadderStage(StageKind.EDGE, InvariantMode.TRACE, ps)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POWER_LIST_ENTRIES))
+@pytest.mark.parametrize(
+    "powers, fragment",
+    [([], "nonempty"), ([3, 3], "strictly ascending"), ([4, 3], "strictly ascending"),
+     ([0], ">= "), ([2.0], "integers"), ([True], "integers")],
+)
+def test_power_lists_share_one_validator(entry, powers, fragment):
+    floor, call = POWER_LIST_ENTRIES[entry]
+    with pytest.raises(ValueError, match=fragment) as want:
+        check_powers(powers, floor)
+    with pytest.raises(ValueError) as got:
+        call(powers)
+    assert str(got.value) == str(want.value)
+
+
+def test_numpy_power_lists_become_python_ints():
+    powers = check_powers(np.arange(3, 5))
+    assert powers == (3, 4) and all(type(p) is int for p in powers)
+    stage = LadderStage(StageKind.EDGE, InvariantMode.TRACE, np.arange(3, 5))
+    assert stage.powers == (3, 4) and all(type(p) is int for p in stage.powers)
+    assert all(type(p) is int for p in bar_diag_table(FX["petersen"], np.arange(3, 5)))
+    sigs = vertex_signatures(FX["petersen"], np.arange(3, 5), InvariantMode.TRACE)
+    assert [s.values for s in sigs] == [
+        s.values for s in vertex_signatures(FX["petersen"], [3, 4], InvariantMode.TRACE)
+    ]
 
 
 def test_ladder_json_roundtrip():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from srginv.catalog import complete_graph, cycle_graph, star_graph
@@ -7,6 +9,7 @@ from srginv.matpow import DEFAULT_MODULUS
 from srginv.vertexinv import (
     InvariantMode,
     NeighborhoodPowerCache,
+    VertexSignature,
     graph_signature,
     nbhd_power_diag,
     outblock_signature,
@@ -296,3 +299,25 @@ def test_outblock_rejects_a_foreign_cache():
         outblock_signature(g, [2], SD, nbhd=NeighborhoodPowerCache(complete_graph(4)))
     with pytest.raises(ValueError, match="same modulus"):
         outblock_signature(g, [2], SD, nbhd=NeighborhoodPowerCache(g, DEFAULT_MODULUS))
+
+
+def irregular_graph(seed: int) -> Graph:
+    """Seeded random graph on 4..11 vertices, the last of them isolated."""
+    rng = random.Random(seed)
+    v = rng.randint(4, 11)
+    p = rng.uniform(0.2, 0.8)
+    edges = [(a, b) for a in range(v - 1) for b in range(a + 1, v - 1) if rng.random() < p]
+    return Graph.from_edges(v, edges)
+
+
+@pytest.mark.parametrize("modulus", [None, DEFAULT_MODULUS])
+@pytest.mark.parametrize("mode", [TRACE, SD])
+def test_batched_kernel_matches_per_vertex_reference(mode, modulus):
+    powers = (1, 2, 3, 5)
+    graphs = [irregular_graph(seed) for seed in range(60)]
+    assert sum(len(set(g.dense().sum(axis=1).tolist())) >= 3 for g in graphs) >= 30
+    for g in graphs:
+        sigs = vertex_signatures(g, powers, mode, modulus=modulus)
+        for a, sig in enumerate(sigs):
+            want = sum((nbhd_power_diag(g, a, p, mode, modulus=modulus) for p in powers), ())
+            assert sig == VertexSignature(a, want)
