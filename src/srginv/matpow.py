@@ -17,7 +17,11 @@ unsigned 64-bit range raises :class:`MatrixOverflowError`; off-diagonal
 entries of the full power are never formed, so they are not checked.
 Callers may retry with the dual-prime modular engine, whose residues are
 still valid isomorphism invariants (collision probability about 2**-122
-per value).
+per value). That engine keeps exact values, on the same float64 and
+int64 tiers, while a product's bound stays below 2**63, and reduces them
+only when a diagonal is read; past the bound it holds residue pairs in
+object dtype. Reducing an exact value gives the same residue, so which
+path ran never shows in the values.
 """
 
 from __future__ import annotations
@@ -216,11 +220,20 @@ class PowerCache(_PowerEngine):
 class ModularPowerCache(_PowerEngine):
     """Powers of a matrix stack with entries reduced modulo two fixed primes.
 
-    Residue pairs (x mod p1, x mod p2) are reported as the single integer
+    A cached power holds its exact integer values while products stay
+    exact: a product or row dot product whose bound ``inner * max(a) *
+    max(b)`` fits int64 runs through :func:`checked_matmul` or
+    :func:`checked_rowdot` (float64 or int64, never the object tier, so
+    this engine never raises MatrixOverflowError). Past that bound, or for
+    a base with an entry outside ``0..2**63 - 1``, the operands are lifted
+    to residue pairs (x mod p1, x mod p2) in object dtype, and powers
+    formed from a residue pair are residue pairs too; ``power(p)`` returns
+    either form. An exact value reduced mod q is the residue of the true
+    value for any modulus, so the two forms give the same values.
+    Diagonals are reduced per prime and reported as the single integer
     ``r1 * p2 + r2``, an injective encoding that remains a relabeling
-    invariant. Diagonal row dot products and traces are reduced per prime
-    before encoding, so the trace of a power still equals the encoded sum
-    of its true diagonal.
+    invariant; traces are reduced per prime before encoding, so the trace
+    of a power still equals the encoded sum of its true diagonal.
     """
 
     def __init__(self, base: np.ndarray, modulus: tuple[int, int] = DEFAULT_MODULUS):
@@ -230,21 +243,46 @@ class ModularPowerCache(_PowerEngine):
         self.modulus = (int(p1), int(p2))
         super().__init__(base)
 
-    def _lift(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b = _as_object(base)
-        return tuple(b % q for q in self.modulus)
+    def _residues(self, m) -> tuple[np.ndarray, np.ndarray]:
+        if isinstance(m, tuple):
+            return m
+        # Python ints: the encoding r1 * p2 + r2 would wrap in int64
+        m = _as_object(m)
+        return tuple(m % q for q in self.modulus)
 
-    def _mul(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        return tuple((x @ y) % q for x, y, q in zip(a, b, self.modulus))
+    @staticmethod
+    def _exact(a, b) -> bool:
+        return (
+            not isinstance(a, tuple)
+            and not isinstance(b, tuple)
+            and a.shape[-1] * _entry_max(a) * _entry_max(b) <= _INT64_SAFE
+        )
+
+    def _lift(self, base: np.ndarray):
+        if base.size and (base.min() < 0 or base.max() > _INT64_SAFE):
+            return self._residues(base)
+        return _as_int64(base)
+
+    def _mul(self, a, b):
+        if self._exact(a, b):
+            return checked_matmul(a, b)
+        return tuple(
+            (x @ y) % q for x, y, q in zip(self._residues(a), self._residues(b), self.modulus)
+        )
 
     def _rowdot(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        if self._exact(a, b):
+            return self._residues(checked_rowdot(a, b))
         return tuple(
             (x * np.swapaxes(y, -1, -2)).sum(axis=-1) % q
-            for x, y, q in zip(a, b, self.modulus)
+            for x, y, q in zip(self._residues(a), self._residues(b), self.modulus)
         )
 
     def _base_diag(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(np.diagonal(x, axis1=-2, axis2=-1) for x in self._pows[1])
+        base = self._pows[1]
+        if isinstance(base, tuple):
+            return tuple(np.diagonal(x, axis1=-2, axis2=-1) for x in base)
+        return self._residues(np.diagonal(base, axis1=-2, axis2=-1))
 
     def diag_array(self, p: int) -> np.ndarray:
         d1, d2 = self._diag(p)

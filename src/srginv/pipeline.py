@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .edgeinv import BarPowerDiag, bar_diag_table
 from .graph import Graph, GraphFormatError, SrgParams, parse_graphs, srg_diagnosis
-from .matpow import check_powers
+from .matpow import DEFAULT_MODULUS, MatrixOverflowError, check_powers
 from .vertexinv import (
     GraphSignature,
     InvariantMode,
@@ -194,9 +194,11 @@ class DistinguishReport:
     pairs_requiring_edge: int
     shared_vertex_invariant_graphs: int
     single_block_graphs: int | None
+    # why exact arithmetic gave way to DEFAULT_MODULUS for this family
+    fallback: str | None = None
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "params": self.family,
             "count": self.count,
             "stages": [s.to_json_obj() for s in self.stages],
@@ -207,6 +209,10 @@ class DistinguishReport:
             "shared_vertex_invariant_graphs": self.shared_vertex_invariant_graphs,
             "single_block_graphs": self.single_block_graphs,
         }
+        if self.fallback is not None:
+            obj["arithmetic"] = "mod-reduced"
+            obj["fallback"] = self.fallback
+        return obj
 
 
 def _vertex_boundary(stages: list[StageResult], count: int) -> tuple[int, int]:
@@ -439,6 +445,22 @@ def group_families(entries) -> list[Family]:
 def _single_family_report(
     fam: Family, ladder: LadderConfig, modulus, early_exit: bool
 ) -> DistinguishReport:
+    """One family's report. An exact run that overflows is re-run whole
+    under DEFAULT_MODULUS, so values stay comparable within the family,
+    and the report records why."""
+    try:
+        return _family_report(fam, ladder, modulus, early_exit)
+    except MatrixOverflowError as e:
+        if modulus is not None:
+            raise
+        report = _family_report(fam, ladder, DEFAULT_MODULUS, early_exit)
+        report.fallback = str(e)
+        return report
+
+
+def _family_report(
+    fam: Family, ladder: LadderConfig, modulus, early_exit: bool
+) -> DistinguishReport:
     if len(fam.graphs) >= 2:
         return distinguish_family(
             fam.graphs,
@@ -544,6 +566,9 @@ class DatasetReport:
         )
         if self.modulus:
             lines.append(f"values are mod-reduced (primes {self.modulus[0]}, {self.modulus[1]})")
+        fell_back = [f.family for f in self.families if f.fallback is not None]
+        if fell_back:
+            lines.append(f"exact arithmetic overflowed, values mod-reduced: {', '.join(fell_back)}")
         return "\n".join(lines)
 
 

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from srginv.catalog import complete_graph, paley_graph, path_graph, petersen_graph
+from srginv.catalog import (
+    chang_graphs,
+    complete_graph,
+    paley_graph,
+    path_graph,
+    petersen_graph,
+    triangular_graph,
+)
 from srginv.cli import main
 from srginv.isomorphism import random_relabel
 
@@ -229,3 +236,15 @@ def test_custom_ladder_file(tmp_path, capsys):
     fb = write(tmp_path, "b.g6", FX["prism"])
     assert main(["compare", fa, fb, "--ladder", str(lf)]) == 0
     assert "edge/trace" in capsys.readouterr().out
+
+
+def test_report_overflow_falls_back_per_family(tmp_path, capsys):
+    # exact Tr30 of srg(28,12,6,4) passes the unsigned 64-bit range
+    f = write(tmp_path, "fam.g6", triangular_graph(8), *chang_graphs())
+    lf = tmp_path / "ladder.json"
+    lf.write_text(json.dumps({"stages": [{"kind": "vertex", "mode": "trace", "powers": [30]}]}))
+    assert main(["report", f, "--ladder", str(lf), "--out", "json"]) == 0
+    (fam,) = json.loads(capsys.readouterr().out)["families"]
+    assert fam["arithmetic"] == "mod-reduced" and fam["classes"] == 4
+    assert main(["report", f, "--ladder", str(lf)]) == 0
+    assert "exact arithmetic overflowed" in capsys.readouterr().out

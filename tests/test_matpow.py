@@ -236,3 +236,45 @@ def test_kernel_forms_only_half_powers(matmul_calls):
     matmul_calls.clear()
     NeighborhoodPowerCache(g).trace(3)
     assert len(matmul_calls) == 1  # the stacked square of the neighborhood matrices
+
+
+def encoded(x, modulus):
+    return (x % modulus[0]) * modulus[1] + x % modulus[1]
+
+
+SWITCH_BASES = {
+    "ones": np.ones((2, 16, 16), dtype=np.uint8),
+    "random01": random_01_stack(3, 9, 300),
+    "object2**70": random_01_stack(2, 4, 301).astype(object) * 2**70,
+    "negative": random_01_stack(2, 4, 302).astype(np.int64) * -3 + 1,
+}
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, (5, 7)], ids=["61bit", "5,7"])
+@pytest.mark.parametrize("name", sorted(SWITCH_BASES))
+def test_modular_engine_across_the_residue_switch(name, modulus):
+    # entries pass the int64 bound mid-recursion (P17 of the 16x16 ones, P30
+    # of the 9x9 0/1 stack), so odd powers multiply a residue power by the
+    # exact base and later diagonals dot an exact half power with a residue
+    # one; with (5, 7) the exact values exceed both primes long before that
+    stack = SWITCH_BASES[name]
+    mod = ModularPowerCache(stack, modulus)
+    want = [np.asarray(m).astype(object) for m in stack]
+    for p in range(1, 61):
+        diags = [[int(x) for x in np.diagonal(w)] for w in want]
+        assert mod.diag_array(p).tolist() == [[encoded(x, modulus) for x in d] for d in diags]
+        assert mod.traces(p) == [encoded(sum(d), modulus) for d in diags]
+        want = [w @ np.asarray(m).astype(object) for w, m in zip(want, stack)]
+    # residue pairs are tuples; a base outside 0..2**63-1 is reduced from the start
+    lifted = name in ("object2**70", "negative")
+    assert isinstance(mod.power(1), tuple) == isinstance(mod.power(2), tuple) == lifted
+    assert isinstance(mod.power(60), tuple)
+
+
+def test_modular_engine_takes_the_exact_fast_path(matmul_calls):
+    mod = NeighborhoodPowerCache(paley_graph(13), DEFAULT_MODULUS)
+    mod.trace(3)
+    assert len(matmul_calls) == 1  # P2 on the BLAS tier, not two object products
+    exact = NeighborhoodPowerCache(paley_graph(13))
+    assert mod.diag(3) == [tuple(encoded(x, DEFAULT_MODULUS) for x in row) for row in exact.diag(3)]
+    assert mod.trace(3) == [encoded(t, DEFAULT_MODULUS) for t in exact.trace(3)]

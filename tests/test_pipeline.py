@@ -433,6 +433,29 @@ def test_text_report_marks_complete_families():
     assert len(full) >= len(text)
 
 
+# Tr30 of the 6-regular neighbourhoods of srg(28,12,6,4) passes the unsigned
+# 64-bit range; the 2-regular neighbourhoods of srg(16,6,2,2) stay far below
+TR30 = LadderConfig((LadderStage(StageKind.VERTEX, InvariantMode.TRACE, (30,)),))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_overflowing_family_falls_back_alone(jobs):
+    graphs = [rook_graph(4), shrikhande_graph(), triangular_graph(8), *chang_graphs()]
+    entries = load_dataset_text("\n".join(g.to_graph6() for g in graphs))
+    report = dataset_report(entries, TR30, jobs=jobs)
+    modular = dataset_report(entries, TR30, modulus=DEFAULT_MODULUS)
+    rook_fam, t8_fam = report.to_json_obj()["families"]
+    assert (rook_fam["params"], t8_fam["params"]) == ("16-6-2-2", "28-12-6-4")
+    assert "arithmetic" not in rook_fam and "fallback" not in rook_fam
+    assert t8_fam.pop("arithmetic") == "mod-reduced"
+    assert t8_fam.pop("fallback").startswith("matrix power diagonal exceeds")
+    # the whole family re-ran under the modulus: same values as a modular run
+    assert t8_fam == modular.families[1].to_json_obj()
+    assert report.families[1].final_classes == modular.families[1].final_classes == 4
+    assert report.to_json_obj()["arithmetic"] == "exact"
+    assert report.to_text().splitlines()[-1].endswith("values mod-reduced: 28-12-6-4")
+
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
 
@@ -448,8 +471,9 @@ def golden_dataset_text(modular: bool) -> str:
     copies, and a non-SRG family whose graphs have two degree classes.
 
     The relabelled Chang graph, which sends a 336-edge bar matrix through
-    the edge stages, is left out in modular mode: its object-dtype
-    products alone take several seconds.
+    the edge stages, is not in the modular set that
+    ``golden_report_modular.json`` pins; ``test_modular_report_equals_exact``
+    runs the full set in both modes.
     """
     rook, shri, t8 = rook_graph(4), shrikhande_graph(), triangular_graph(8)
     changs = chang_graphs()
@@ -468,3 +492,17 @@ def test_report_matches_golden(modular):
     got = dataset_report(entries, modulus=modulus).to_json() + "\n"
     name = "golden_report_modular.json" if modular else "golden_report_exact.json"
     assert got == (GOLDEN_DIR / name).read_text()
+
+
+def test_modular_report_equals_exact():
+    # every value of this set lies below both primes, where the encoding is
+    # injective, so both modes split the same classes at the same stages
+    entries = load_dataset_text(golden_dataset_text(False), allow_non_srg=True)
+    exact = dataset_report(entries).to_json_obj()
+    modular = dataset_report(entries, modulus=DEFAULT_MODULUS).to_json_obj()
+    assert (exact.pop("arithmetic"), exact.pop("modulus")) == ("exact", None)
+    assert (modular.pop("arithmetic"), modular.pop("modulus")) == (
+        "mod-reduced",
+        list(DEFAULT_MODULUS),
+    )
+    assert modular == exact
