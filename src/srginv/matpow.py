@@ -1,4 +1,4 @@
-"""Exact integer matrix powers and their diagonals with 64-bit overflow checking.
+"""Exact integer matrix powers and their diagonals, checked or mod-reduced.
 
 Every invariant in this package is a diagonal, or a trace, of a power of
 a small nonnegative integer matrix. Diagonals never form the full power:
@@ -6,22 +6,23 @@ with ``h = p // 2``,
 
     diag(M^p)[i] = sum_j (M^h)[i, j] * (M^(p-h))[j, i],
 
-which holds for any square matrix, so only the half powers ``M^h`` and
-``M^(p-h)`` are formed (powers 3..9 need M^2..M^5; powers 2..5 need M^2
-and M^3) and the diagonal is their row dot product. Products and row dot
-products are evaluated in the cheapest representation that is provably
-exact for the values at hand: float64 while a safe bound stays below
-2**53 (BLAS path), int64 below 2**63, arbitrary-precision Python integers
-beyond that. A half-power entry or a diagonal value that leaves the
-unsigned 64-bit range raises :class:`MatrixOverflowError`; off-diagonal
-entries of the full power are never formed, so they are not checked.
-Callers may retry with the dual-prime modular engine, whose residues are
-still valid isomorphism invariants (collision probability about 2**-122
-per value). That engine keeps exact values, on the same float64 and
-int64 tiers, while a product's bound stays below 2**63, and reduces them
-only when a diagonal is read; past the bound it holds residue pairs in
-object dtype. Reducing an exact value gives the same residue, so which
-path ran never shows in the values.
+which holds for any square matrix, so only the half powers are formed
+(powers 3..9 need M^2..M^5; powers 2..5 need M^2 and M^3) and the
+diagonal is their row dot product.
+
+One rule places every value: a product or row dot product with bound
+``inner * max(a) * max(b)`` <= 2**53 runs in float64 (BLAS path), one
+<= 2**63 - 1 in int64, and a base is placed by its largest entry, so it
+is never rounded. Past int64 the modulus decides:
+
+* exact mode (``modulus=None``): values become Python ints, and a
+  half-power entry or diagonal value past the unsigned 64-bit range raises
+  :class:`MatrixOverflowError` (off-diagonal entries of the full power are
+  never formed, so they are not checked); output is the raw values.
+* modular mode: values become residue pairs (x mod p1, x mod p2), valid
+  isomorphism invariants with collision probability about 2**-122 per
+  value; output is ``r1 * p2 + r2`` per value. An exact value reduces to
+  the same residue, so where the switch happened never shows.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ import operator
 import numpy as np
 
 U64_MAX = 2**64 - 1
-_INT64_SAFE = 2**63 - 1
 _FLOAT_SAFE = 2**53
+_INT64_SAFE = 2**63 - 1
+# what each format holds exactly; tests lower the two product thresholds
+# above to force every tier, which must not move a base's own entries
+_FORMAT_LIMITS = (_FLOAT_SAFE, _INT64_SAFE)
 
 # Two fixed 61-bit primes (2^61 - 1 and 2^61 - 31) for the modular fallback.
 DEFAULT_MODULUS = (2305843009213693951, 2305843009213693921)
@@ -70,19 +74,57 @@ def _entry_max(m: np.ndarray) -> int:
     return 0 if m.size == 0 else int(m.max())
 
 
-def _as_float(m: np.ndarray) -> np.ndarray:
-    # Callers guarantee entries <= 2**53, so the conversion is exact.
-    return m if m.dtype == np.float64 else m.astype(np.float64)
+def _tier(bound: int, limits: tuple[int, int] | None = None):
+    """The cheapest dtype in which nonnegative integers up to ``bound``, and
+    sums up to it, are exact: float64, int64 or object (Python ints).
+    ``limits`` default to the product thresholds."""
+    float_safe, int64_safe = limits or (_FLOAT_SAFE, _INT64_SAFE)
+    if bound <= float_safe:
+        return np.float64
+    if bound <= int64_safe:
+        return np.int64
+    return object
 
 
-def _as_int64(m: np.ndarray) -> np.ndarray:
-    return m if m.dtype == np.int64 else m.astype(np.int64)
+def _product_tier(a: np.ndarray, b: np.ndarray):
+    """The tier of ``a @ b`` and of its row dot products."""
+    return _tier(a.shape[-1] * _entry_max(a) * _entry_max(b))
 
 
-def _as_object(m: np.ndarray) -> np.ndarray:
-    if m.dtype == object:
+def _as(m: np.ndarray, dtype) -> np.ndarray:
+    if m.dtype == dtype:
         return m
-    return _as_int64(m).astype(object)
+    if dtype is object and m.dtype == np.float64:
+        m = m.astype(np.int64)  # Python ints, not Python floats
+    return m.astype(dtype)
+
+
+def _check_u64(m: np.ndarray, what: str) -> np.ndarray:
+    if m.dtype == object and _entry_max(m) > U64_MAX:
+        raise MatrixOverflowError(
+            f"matrix power {what} exceeds the unsigned 64-bit range; retry in modular mode"
+        )
+    return m
+
+
+def _diagonal_values(d: np.ndarray) -> np.ndarray:
+    """Exact diagonal values as int64, or as Python ints past int64."""
+    return _check_u64(d, "diagonal") if d.dtype == object else d.astype(np.int64)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``diag(a @ b)`` of each stacked matrix, in the dtype of ``a`` and ``b``."""
+    bt = np.swapaxes(b, -1, -2)
+    if a.dtype == object:  # einsum takes object arrays only from numpy 1.25 on
+        return (a * bt).sum(axis=-1)
+    return np.einsum("...ij,...ij->...i", a, bt)
+
+
+def _row_sums(d: np.ndarray) -> np.ndarray:
+    """Exact sums over the last axis of an int64 or object array."""
+    if _tier(d.shape[-1] * _entry_max(d)) is object:
+        d = _as(d, object)
+    return d.sum(axis=-1)
 
 
 def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,19 +134,8 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     U64_MAX. The result dtype varies (float64 / int64 / object) but the
     values are always exact integers.
     """
-    inner = a.shape[-1]
-    bound = inner * _entry_max(a) * _entry_max(b)
-    if bound <= _FLOAT_SAFE:
-        return _as_float(a) @ _as_float(b)
-    if bound <= _INT64_SAFE:
-        return _as_int64(a) @ _as_int64(b)
-    prod = _as_object(a) @ _as_object(b)
-    if _entry_max(prod) > U64_MAX:
-        raise MatrixOverflowError(
-            "matrix power entry exceeds the unsigned 64-bit range; "
-            "retry in modular mode"
-        )
-    return prod
+    dtype = _product_tier(a, b)
+    return _check_u64(_as(a, dtype) @ _as(b, dtype), "entry")
 
 
 def checked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,48 +147,60 @@ def checked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     value above U64_MAX raises MatrixOverflowError. The result is int64,
     or object when the bound passes the int64 range.
     """
-    inner = a.shape[-1]
-    bound = inner * _entry_max(a) * _entry_max(b)
-    bt = np.swapaxes(b, -1, -2)
-    if bound <= _FLOAT_SAFE:
-        return np.einsum("...ij,...ij->...i", _as_float(a), _as_float(bt)).astype(np.int64)
-    if bound <= _INT64_SAFE:
-        return np.einsum("...ij,...ij->...i", _as_int64(a), _as_int64(bt))
-    diag = (_as_object(a) * _as_object(bt)).sum(axis=-1)
-    if _entry_max(diag) > U64_MAX:
-        raise MatrixOverflowError(
-            "matrix power diagonal exceeds the unsigned 64-bit range; "
-            "retry in modular mode"
-        )
-    return diag
+    dtype = _product_tier(a, b)
+    return _diagonal_values(_rowdot(_as(a, dtype), _as(b, dtype)))
 
 
-def _row_sums(d: np.ndarray) -> np.ndarray:
-    """Exact sums over the last axis of a nonnegative int64 or object array."""
-    if d.dtype != object and d.shape[-1] * _entry_max(d) > _INT64_SAFE:
-        d = d.astype(object)
-    return d.sum(axis=-1)
+class PowerCache:
+    """Cached powers of a (m, k, k) stack of square nonnegative integer
+    matrices, and their diagonals and traces.
 
-
-class _PowerEngine:
-    """Cached powers of a stack of square matrices and their diagonals.
-
-    ``power(p)`` forms the full p-th power by repeated squaring with one
-    extra multiply for odd exponents. ``diag_array(p)`` forms only the
-    half powers ``h = p // 2`` and ``p - h`` and takes the diagonal as
-    their row dot product, ``diag(M^p)[i] = sum_j M^h[i, j] M^(p-h)[j, i]``,
-    which holds for any square matrix. Powers and diagonals are cached so
-    escalating queries reuse earlier work. Subclasses supply the ring:
-    ``_lift`` (base matrix), ``_mul``, ``_rowdot``, ``_base_diag``,
-    ``diag_array`` and ``trace_array``.
+    ``power(p)`` squares repeatedly, with one extra multiply for odd
+    exponents; it returns exact values, or in modular mode past int64 a
+    residue pair. ``diag_array(p)`` forms only the half powers. Exact
+    (m, k) diagonals and (m,) traces are int64, or object past int64;
+    modular ones are object arrays of ``r1 * p2 + r2``, traces reduced per
+    prime, so a trace still equals the encoded sum of its true diagonal.
     """
 
-    def __init__(self, base: np.ndarray):
+    def __init__(self, base: np.ndarray, modulus: tuple[int, int] | None = None):
         base = np.asarray(base)
         if base.ndim != 3 or base.shape[-1] != base.shape[-2]:
             raise ValueError(f"expected a (m, k, k) stack, got shape {base.shape}")
+        if modulus is not None:
+            p1, p2 = modulus
+            if p1 <= 1 or p2 <= 1 or p1 == p2:
+                raise ValueError(f"modulus must be two distinct primes > 1, got {modulus}")
+            modulus = (int(p1), int(p2))
+        self.modulus = modulus
         self._pows = {1: self._lift(base)}
         self._diags: dict = {}
+
+    def _lift(self, base: np.ndarray):
+        # an entry outside 0..2**63 - 1 is past int64, like a product's bound
+        dtype = object if base.min(initial=0) < 0 else _tier(_entry_max(base), _FORMAT_LIMITS)
+        if dtype is object and self.modulus is not None:
+            return self._residues(base)
+        return _as(base, dtype)
+
+    def _residues(self, m) -> tuple[np.ndarray, np.ndarray]:
+        # Python ints: the encoding r1 * p2 + r2 would wrap in int64
+        parts = m if isinstance(m, tuple) else (_as(m, object),) * 2
+        return tuple(x % q for x, q in zip(parts, self.modulus))
+
+    def _combine(self, checked, residue_op, a, b):
+        """``checked(a, b)`` on exact values; in modular mode past int64,
+        ``residue_op`` on the residues of each prime."""
+        exact = self.modulus is None or (
+            not isinstance(a, tuple)
+            and not isinstance(b, tuple)
+            and _product_tier(a, b) is not object
+        )
+        if exact:
+            return checked(a, b)
+        return tuple(
+            residue_op(x, y) % q for x, y, q in zip(self._residues(a), self._residues(b), self.modulus)
+        )
 
     def power(self, p: int):
         if p < 1:
@@ -165,11 +208,10 @@ class _PowerEngine:
         got = self._pows.get(p)
         if got is None:
             if p % 2 == 0:
-                half = self.power(p // 2)
-                got = self._mul(half, half)
+                a = b = self.power(p // 2)
             else:
-                got = self._mul(self.power(p - 1), self._pows[1])
-            self._pows[p] = got
+                a, b = self.power(p - 1), self._pows[1]
+            got = self._pows[p] = self._combine(checked_matmul, np.matmul, a, b)
         return got
 
     def _diag(self, p: int):
@@ -178,9 +220,29 @@ class _PowerEngine:
         got = self._diags.get(p)
         if got is None:
             h = p // 2
-            got = self._rowdot(self.power(h), self.power(p - h)) if h else self._base_diag()
+            if h:
+                got = self._combine(checked_rowdot, _rowdot, self.power(h), self.power(p - h))
+            elif isinstance(self._pows[1], tuple):
+                got = tuple(np.diagonal(x, axis1=-2, axis2=-1) for x in self._pows[1])
+            else:
+                got = _diagonal_values(np.diagonal(self._pows[1], axis1=-2, axis2=-1))
             self._diags[p] = got
         return got
+
+    def _report(self, x):
+        if self.modulus is None:
+            return x
+        r1, r2 = self._residues(x)
+        return r1 * self.modulus[1] + r2
+
+    def diag_array(self, p: int) -> np.ndarray:
+        return self._report(self._diag(p))
+
+    def trace_array(self, p: int) -> np.ndarray:
+        d = self._diag(p)
+        if isinstance(d, tuple):
+            return self._report(tuple(x.sum(axis=-1) for x in d))
+        return self._report(_row_sums(d))
 
     def diagonals(self, p: int) -> list[tuple[int, ...]]:
         """Unsorted diagonal of the p-th power, one tuple per stacked matrix."""
@@ -190,110 +252,15 @@ class _PowerEngine:
         return self.trace_array(p).tolist()
 
 
-class PowerCache(_PowerEngine):
-    """Exact checked powers of a stack of square nonnegative integer matrices.
-
-    ``base`` has shape (m, k, k). ``diag_array(p)`` and ``trace_array(p)``
-    give the (m, k) diagonals and (m,) traces of the p-th powers as int64
-    arrays, or object arrays of Python ints past the int64 range.
-    """
-
-    def _lift(self, base: np.ndarray) -> np.ndarray:
-        return _as_float(base)
-
-    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return checked_matmul(a, b)
-
-    def _rowdot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return checked_rowdot(a, b)
-
-    def _base_diag(self) -> np.ndarray:
-        return np.diagonal(self._pows[1], axis1=-2, axis2=-1).astype(np.int64)
-
-    def diag_array(self, p: int) -> np.ndarray:
-        return self._diag(p)
-
-    def trace_array(self, p: int) -> np.ndarray:
-        return _row_sums(self._diag(p))
-
-
-class ModularPowerCache(_PowerEngine):
-    """Powers of a matrix stack with entries reduced modulo two fixed primes.
-
-    A cached power holds its exact integer values while products stay
-    exact: a product or row dot product whose bound ``inner * max(a) *
-    max(b)`` fits int64 runs through :func:`checked_matmul` or
-    :func:`checked_rowdot` (float64 or int64, never the object tier, so
-    this engine never raises MatrixOverflowError). Past that bound, or for
-    a base with an entry outside ``0..2**63 - 1``, the operands are lifted
-    to residue pairs (x mod p1, x mod p2) in object dtype, and powers
-    formed from a residue pair are residue pairs too; ``power(p)`` returns
-    either form. An exact value reduced mod q is the residue of the true
-    value for any modulus, so the two forms give the same values.
-    Diagonals are reduced per prime and reported as the single integer
-    ``r1 * p2 + r2``, an injective encoding that remains a relabeling
-    invariant; traces are reduced per prime before encoding, so the trace
-    of a power still equals the encoded sum of its true diagonal.
-    """
+class ModularPowerCache(PowerCache):
+    """A :class:`PowerCache` whose modulus defaults to DEFAULT_MODULUS; its
+    own class so that ``bench/tracing.py`` times modular powers apart."""
 
     def __init__(self, base: np.ndarray, modulus: tuple[int, int] = DEFAULT_MODULUS):
-        p1, p2 = modulus
-        if p1 <= 1 or p2 <= 1 or p1 == p2:
-            raise ValueError(f"modulus must be two distinct primes > 1, got {modulus}")
-        self.modulus = (int(p1), int(p2))
-        super().__init__(base)
-
-    def _residues(self, m) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(m, tuple):
-            return m
-        # Python ints: the encoding r1 * p2 + r2 would wrap in int64
-        m = _as_object(m)
-        return tuple(m % q for q in self.modulus)
-
-    @staticmethod
-    def _exact(a, b) -> bool:
-        return (
-            not isinstance(a, tuple)
-            and not isinstance(b, tuple)
-            and a.shape[-1] * _entry_max(a) * _entry_max(b) <= _INT64_SAFE
-        )
-
-    def _lift(self, base: np.ndarray):
-        if base.size and (base.min() < 0 or base.max() > _INT64_SAFE):
-            return self._residues(base)
-        return _as_int64(base)
-
-    def _mul(self, a, b):
-        if self._exact(a, b):
-            return checked_matmul(a, b)
-        return tuple(
-            (x @ y) % q for x, y, q in zip(self._residues(a), self._residues(b), self.modulus)
-        )
-
-    def _rowdot(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        if self._exact(a, b):
-            return self._residues(checked_rowdot(a, b))
-        return tuple(
-            (x * np.swapaxes(y, -1, -2)).sum(axis=-1) % q
-            for x, y, q in zip(self._residues(a), self._residues(b), self.modulus)
-        )
-
-    def _base_diag(self) -> tuple[np.ndarray, np.ndarray]:
-        base = self._pows[1]
-        if isinstance(base, tuple):
-            return tuple(np.diagonal(x, axis1=-2, axis2=-1) for x in base)
-        return self._residues(np.diagonal(base, axis1=-2, axis2=-1))
-
-    def diag_array(self, p: int) -> np.ndarray:
-        d1, d2 = self._diag(p)
-        return d1 * self.modulus[1] + d2
-
-    def trace_array(self, p: int) -> np.ndarray:
-        (d1, d2), (q1, q2) = self._diag(p), self.modulus
-        return d1.sum(axis=-1) % q1 * q2 + d2.sum(axis=-1) % q2
+        super().__init__(base, modulus)
 
 
-def power_cache(base: np.ndarray, modulus: tuple[int, int] | None = None):
+def power_cache(base: np.ndarray, modulus: tuple[int, int] | None = None) -> PowerCache:
     """Engine factory: exact checked arithmetic, or dual-prime modular."""
     if modulus is None:
         return PowerCache(base)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .edgeinv import BarPowerDiag, bar_diag_table
@@ -231,15 +231,13 @@ def distinguish_family(
     ladder: LadderConfig | None = None,
     *,
     modulus: tuple[int, int] | None = None,
-    early_exit: bool = True,
     params: SrgParams | None = None,
     family: str | None = None,
 ) -> DistinguishReport:
     """Run the ladder over one family and count distinguished classes.
 
-    Graphs are grouped by cumulative signature; the run stops early once
-    every graph sits in its own class (disable with early_exit=False, the
-    final counts are identical either way).
+    Graphs are grouped by cumulative signature; the run stops once every
+    graph sits in its own class, so later stages get no result.
     """
     graphs = list(graphs)
     n = len(graphs)
@@ -265,7 +263,7 @@ def distinguish_family(
     results: list[StageResult] = []
 
     for stage in ladder.stages:
-        if early_exit and not groups:
+        if not groups:
             break
         new_groups: list[list[int]] = []
         for grp in groups:
@@ -327,16 +325,22 @@ class PairVerdict:
     distinguished: bool
     stage: int | None
     stage_config: LadderStage | None
+    # why exact arithmetic gave way to DEFAULT_MODULUS for this pair
+    fallback: str | None = None
 
     def describe(self) -> str:
         if not self.distinguished:
-            return "indistinguishable by ladder"
-        s = self.stage_config
-        powers = ",".join(map(str, s.powers))
-        return (
-            f"distinguished: stage {self.stage} "
-            f"({s.kind.value}/{s.mode.value} powers {powers})"
-        )
+            text = "indistinguishable by ladder"
+        else:
+            s = self.stage_config
+            powers = ",".join(map(str, s.powers))
+            text = (
+                f"distinguished: stage {self.stage} "
+                f"({s.kind.value}/{s.mode.value} powers {powers})"
+            )
+        if self.fallback is not None:
+            text += "; exact arithmetic overflowed, values mod-reduced"
+        return text
 
 
 def compare_pair(
@@ -346,15 +350,33 @@ def compare_pair(
     *,
     modulus: tuple[int, int] | None = None,
 ) -> PairVerdict:
-    """First ladder stage whose signatures differ, if any."""
+    """First ladder stage whose signatures differ, if any. An exact run that
+    overflows is re-run under DEFAULT_MODULUS, and the verdict records why."""
     if g1.v != g2.v:
         raise ValueError(f"vertex counts differ: {g1.v} vs {g2.v}")
     ladder = ladder or default_ladder()
-    s1, s2 = _GraphState(g1, modulus), _GraphState(g2, modulus)
-    for i, stage in enumerate(ladder.stages, start=1):
-        if s1.payload(stage) != s2.payload(stage):
-            return PairVerdict(True, i, stage)
-    return PairVerdict(False, None, None)
+
+    def run(modulus) -> PairVerdict:
+        s1, s2 = _GraphState(g1, modulus), _GraphState(g2, modulus)
+        for i, stage in enumerate(ladder.stages, start=1):
+            if s1.payload(stage) != s2.payload(stage):
+                return PairVerdict(True, i, stage)
+        return PairVerdict(False, None, None)
+
+    verdict, fallback = _exact_or_fallback(run, modulus)
+    return replace(verdict, fallback=fallback)
+
+
+def _exact_or_fallback(run, modulus):
+    """``(run(modulus), None)``; when an exact run overflows, the whole run
+    again under DEFAULT_MODULUS, so its values stay comparable with each
+    other, and the overflow message."""
+    try:
+        return run(modulus), None
+    except MatrixOverflowError as e:
+        if modulus is not None:
+            raise
+        return run(DEFAULT_MODULUS), str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -442,31 +464,12 @@ def group_families(entries) -> list[Family]:
     return sorted(by_key.values(), key=order)
 
 
-def _single_family_report(
-    fam: Family, ladder: LadderConfig, modulus, early_exit: bool
-) -> DistinguishReport:
-    """One family's report. An exact run that overflows is re-run whole
-    under DEFAULT_MODULUS, so values stay comparable within the family,
-    and the report records why."""
-    try:
-        return _family_report(fam, ladder, modulus, early_exit)
-    except MatrixOverflowError as e:
-        if modulus is not None:
-            raise
-        report = _family_report(fam, ladder, DEFAULT_MODULUS, early_exit)
-        report.fallback = str(e)
-        return report
-
-
-def _family_report(
-    fam: Family, ladder: LadderConfig, modulus, early_exit: bool
-) -> DistinguishReport:
+def _family_report(fam: Family, ladder: LadderConfig, modulus) -> DistinguishReport:
     if len(fam.graphs) >= 2:
         return distinguish_family(
             fam.graphs,
             ladder,
             modulus=modulus,
-            early_exit=early_exit,
             params=fam.params,
             family=fam.key,
         )
@@ -490,8 +493,12 @@ def _family_report(
 
 
 def _family_job(payload) -> DistinguishReport:
-    fam, ladder, modulus, early_exit = payload
-    return _single_family_report(fam, ladder, modulus, early_exit)
+    """One family's report; an exact run that overflows is re-run whole
+    under DEFAULT_MODULUS, and the report records why."""
+    fam, ladder, modulus = payload
+    report, fallback = _exact_or_fallback(lambda m: _family_report(fam, ladder, m), modulus)
+    report.fallback = fallback
+    return report
 
 
 @dataclass
@@ -577,7 +584,6 @@ def dataset_report(
     ladder: LadderConfig | None = None,
     *,
     modulus: tuple[int, int] | None = None,
-    early_exit: bool = True,
     jobs: int = 1,
 ) -> DatasetReport:
     """Per-family distinguish reports plus global totals.
@@ -588,7 +594,7 @@ def dataset_report(
     """
     ladder = ladder or default_ladder()
     families = group_families(entries)
-    payloads = [(fam, ladder, modulus, early_exit) for fam in families]
+    payloads = [(fam, ladder, modulus) for fam in families]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_family_job, payloads))

@@ -248,3 +248,17 @@ def test_report_overflow_falls_back_per_family(tmp_path, capsys):
     assert fam["arithmetic"] == "mod-reduced" and fam["classes"] == 4
     assert main(["report", f, "--ladder", str(lf)]) == 0
     assert "exact arithmetic overflowed" in capsys.readouterr().out
+
+
+def test_compare_overflow_falls_back(tmp_path, capsys):
+    # exact Tr30 of srg(28,12,6,4) passes the unsigned 64-bit range
+    fa = write(tmp_path, "t8.g6", triangular_graph(8))
+    fb = write(tmp_path, "chang.g6", chang_graphs()[0])
+    lf = tmp_path / "ladder.json"
+    lf.write_text(json.dumps({"stages": [{"kind": "vertex", "mode": "trace", "powers": [30]}]}))
+    assert main(["compare", fa, fb, "--ladder", str(lf)]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "distinguished: stage 1 (vertex/trace powers 30); "
+        "exact arithmetic overflowed, values mod-reduced\n"
+    )

@@ -84,6 +84,16 @@ def test_overflow_raises_on_u64_boundary():
         cache.power(4)
 
 
+def test_exact_base_is_never_rounded_or_wrapped():
+    # 2**53 + 1 is the first integer float64 cannot hold
+    cache = PowerCache(np.array([[[2**53 + 1]]], dtype=object))
+    assert cache.power(1).tolist() == [[[2**53 + 1]]]
+    assert cache.diag_array(1).tolist() == [[2**53 + 1]]
+    assert cache.traces(1) == [2**53 + 1]
+    with pytest.raises(MatrixOverflowError):
+        PowerCache(np.array([[[2**70]]], dtype=object)).diag_array(1)
+
+
 def test_overflow_raises_via_accumulated_growth():
     ones = np.ones((1, 2, 2), dtype=np.uint8)
     with pytest.raises(MatrixOverflowError):
@@ -229,12 +239,13 @@ def test_traces_past_int64_stay_exact():
     assert cache.traces(63) == [2**63]
 
 
-def test_kernel_forms_only_half_powers(matmul_calls):
+@pytest.mark.parametrize("modulus", [None, DEFAULT_MODULUS], ids=["exact", "modular"])
+def test_kernel_forms_only_half_powers(modulus, matmul_calls):
     g = paley_graph(13)
-    bar_diag_table(g, (2, 3, 4, 5))
+    bar_diag_table(g, (2, 3, 4, 5), modulus=modulus)
     assert len(matmul_calls) == 2  # B^2 and B^3
     matmul_calls.clear()
-    NeighborhoodPowerCache(g).trace(3)
+    NeighborhoodPowerCache(g, modulus).trace(3)
     assert len(matmul_calls) == 1  # the stacked square of the neighborhood matrices
 
 

@@ -206,28 +206,14 @@ def test_seidel_switch_involution():
 
 
 def test_family_class_counts_monotone():
+    # the relabelled copy is never separated, so every stage runs
     graphs = [er_graph(8, s) for s in range(6)]
-    report = distinguish_family(graphs, early_exit=False)
+    graphs.append(random_relabel(graphs[0], 5)[0])
+    report = distinguish_family(graphs)
+    assert len(report.stages) == 17
     counts = [r.classes for r in report.stages]
     assert counts == sorted(counts)
     assert report.final_classes >= 1
-
-
-def test_early_exit_equivalence():
-    pairs = [
-        [FX["rook4"], FX["shrikhande"]],
-        [cube_graph(), wagner_graph()],
-        [er_graph(8, s) for s in range(5)],
-    ]
-    for graphs in pairs:
-        fast = distinguish_family(graphs, early_exit=True)
-        slow = distinguish_family(graphs, early_exit=False)
-        assert fast.final_classes == slow.final_classes
-        assert fast.unresolved_pairs == slow.unresolved_pairs
-        prefix = len(fast.stages)
-        assert [r.classes for r in slow.stages[:prefix]] == [
-            r.classes for r in fast.stages
-        ]
 
 
 def test_family_needs_two_graphs():
@@ -454,6 +440,21 @@ def test_overflowing_family_falls_back_alone(jobs):
     assert report.families[1].final_classes == modular.families[1].final_classes == 4
     assert report.to_json_obj()["arithmetic"] == "exact"
     assert report.to_text().splitlines()[-1].endswith("values mod-reduced: 28-12-6-4")
+
+
+def test_overflowing_pair_falls_back():
+    t8, chang = triangular_graph(8), chang_graphs()[0]
+    verdict = compare_pair(t8, chang, TR30)
+    assert verdict.distinguished and verdict.stage == 1
+    assert verdict.fallback.startswith("matrix power diagonal exceeds")
+    assert verdict.describe().endswith("; exact arithmetic overflowed, values mod-reduced")
+    modular = compare_pair(t8, chang, TR30, modulus=DEFAULT_MODULUS)
+    assert modular.fallback is None
+    assert verdict.describe().startswith(modular.describe())
+    # a pair that stays in range keeps its verdict and its text
+    rook = compare_pair(rook_graph(4), shrikhande_graph(), TR30)
+    assert rook.fallback is None
+    assert rook.describe() == "indistinguishable by ladder"
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
