@@ -275,10 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixOverflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (DatasetError, GraphFormatError, ValueError, OSError) as e:
+    except (MatrixOverflowError, DatasetError, GraphFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

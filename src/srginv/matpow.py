@@ -1,8 +1,8 @@
 """Exact integer matrix powers and their diagonals, checked or mod-reduced.
 
 Every invariant in this package is a diagonal, or a trace, of a power of
-a small nonnegative integer matrix. Diagonals never form the full power:
-with ``h = p // 2``,
+a small integer matrix. Diagonals never form the full power: with
+``h = p // 2``,
 
     diag(M^p)[i] = sum_j (M^h)[i, j] * (M^(p-h))[j, i],
 
@@ -10,19 +10,22 @@ which holds for any square matrix, so only the half powers are formed
 (powers 3..9 need M^2..M^5; powers 2..5 need M^2 and M^3) and the
 diagonal is their row dot product.
 
-One rule places every value: a product or row dot product with bound
-``inner * max(a) * max(b)`` <= 2**53 runs in float64 (BLAS path), one
-<= 2**63 - 1 in int64, and a base is placed by its largest entry, so it
-is never rounded. Past int64 the modulus decides:
+One rule places every value, bounded by magnitude: a product or row dot
+product with bound ``inner * max|a| * max|b|`` <= 2**53 runs in float64
+(BLAS path), one <= 2**63 - 1 in int64, and a base is placed by its
+largest magnitude, so it is never rounded. Past int64 the modulus decides:
 
 * exact mode (``modulus=None``): values become Python ints, and a
-  half-power entry or diagonal value past the unsigned 64-bit range raises
-  :class:`MatrixOverflowError` (off-diagonal entries of the full power are
-  never formed, so they are not checked); output is the raw values.
-* modular mode: values become residue pairs (x mod p1, x mod p2), valid
-  isomorphism invariants with collision probability about 2**-122 per
-  value; output is ``r1 * p2 + r2`` per value. An exact value reduces to
-  the same residue, so where the switch happened never shows.
+  half-power entry or diagonal value past the unsigned 64-bit range in
+  magnitude raises :class:`MatrixOverflowError` (off-diagonal entries of
+  the full power are never formed, so they are not checked); output is
+  the raw values.
+* modular mode, primes ``(p1, p2)``: values become Python ints reduced mod
+  ``p1 * p2``, which hold exactly the residues mod each prime (Chinese
+  remainder theorem): valid isomorphism invariants with collision
+  probability about 2**-122 per value, output as
+  ``(x mod p1) * p2 + x mod p2``. An exact value gives the same output, so
+  where the switch happened never shows.
 """
 
 from __future__ import annotations
@@ -71,13 +74,14 @@ def check_powers(powers, minimum: int = 1) -> tuple[int, ...]:
 
 
 def _entry_max(m: np.ndarray) -> int:
-    return 0 if m.size == 0 else int(m.max())
+    """The largest magnitude in ``m`` (min and max, not a copy through abs)."""
+    return 0 if m.size == 0 else max(int(m.max()), -int(m.min()))
 
 
 def _tier(bound: int, limits: tuple[int, int] | None = None):
-    """The cheapest dtype in which nonnegative integers up to ``bound``, and
-    sums up to it, are exact: float64, int64 or object (Python ints).
-    ``limits`` default to the product thresholds."""
+    """The cheapest dtype in which integers of magnitude up to ``bound``, and
+    sums of magnitude up to it, are exact: float64, int64 or object (Python
+    ints). ``limits`` default to the product thresholds."""
     float_safe, int64_safe = limits or (_FLOAT_SAFE, _INT64_SAFE)
     if bound <= float_safe:
         return np.float64
@@ -88,7 +92,8 @@ def _tier(bound: int, limits: tuple[int, int] | None = None):
 
 def _product_tier(a: np.ndarray, b: np.ndarray):
     """The tier of ``a @ b`` and of its row dot products."""
-    return _tier(a.shape[-1] * _entry_max(a) * _entry_max(b))
+    amax = _entry_max(a)
+    return _tier(a.shape[-1] * amax * (amax if b is a else _entry_max(b)))
 
 
 def _as(m: np.ndarray, dtype) -> np.ndarray:
@@ -128,11 +133,11 @@ def _row_sums(d: np.ndarray) -> np.ndarray:
 
 
 def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of nonnegative integer matrices (2-d or stacked 3-d).
+    """Exact product of integer matrices (2-d or stacked 3-d).
 
     Raises MatrixOverflowError if any entry of the product would exceed
-    U64_MAX. The result dtype varies (float64 / int64 / object) but the
-    values are always exact integers.
+    U64_MAX in magnitude. The result dtype varies (float64 / int64 /
+    object) but the values are always exact integers.
     """
     dtype = _product_tier(a, b)
     return _check_u64(_as(a, dtype) @ _as(b, dtype), "entry")
@@ -141,26 +146,27 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def checked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact diagonal of ``a @ b`` without forming the product.
 
-    ``out[..., i] = sum_j a[..., i, j] * b[..., j, i]`` for nonnegative
-    integer matrices (2-d or stacked 3-d). The bound and the float64 /
-    int64 / object tiers are those of :func:`checked_matmul`; a diagonal
-    value above U64_MAX raises MatrixOverflowError. The result is int64,
-    or object when the bound passes the int64 range.
+    ``out[..., i] = sum_j a[..., i, j] * b[..., j, i]`` for integer
+    matrices (2-d or stacked 3-d). The bound and the float64 / int64 /
+    object tiers are those of :func:`checked_matmul`; a diagonal value of
+    magnitude above U64_MAX raises MatrixOverflowError. The result is
+    int64, or object when the bound passes the int64 range.
     """
     dtype = _product_tier(a, b)
     return _diagonal_values(_rowdot(_as(a, dtype), _as(b, dtype)))
 
 
 class PowerCache:
-    """Cached powers of a (m, k, k) stack of square nonnegative integer
-    matrices, and their diagonals and traces.
+    """Cached powers of a (m, k, k) stack of square integer matrices, and
+    their diagonals and traces.
 
     ``power(p)`` squares repeatedly, with one extra multiply for odd
-    exponents; it returns exact values, or in modular mode past int64 a
-    residue pair. ``diag_array(p)`` forms only the half powers. Exact
-    (m, k) diagonals and (m,) traces are int64, or object past int64;
-    modular ones are object arrays of ``r1 * p2 + r2``, traces reduced per
-    prime, so a trace still equals the encoded sum of its true diagonal.
+    exponents; it returns exact values, or in modular mode past int64
+    values reduced mod ``p1 * p2``. ``diag_array(p)`` forms only the half
+    powers. Exact (m, k) diagonals and (m,) traces are int64, or object
+    past int64; modular ones are object arrays of
+    ``(x mod p1) * p2 + (x mod p2)``, so a trace still equals the encoded
+    sum of its true diagonal.
     """
 
     def __init__(self, base: np.ndarray, modulus: tuple[int, int] | None = None):
@@ -176,33 +182,24 @@ class PowerCache:
         self._pows = {1: self._lift(base)}
         self._diags: dict = {}
 
-    def _lift(self, base: np.ndarray):
-        # an entry outside 0..2**63 - 1 is past int64, like a product's bound
-        dtype = object if base.min(initial=0) < 0 else _tier(_entry_max(base), _FORMAT_LIMITS)
+    def _reduced(self, m: np.ndarray) -> np.ndarray:
+        p1, p2 = self.modulus
+        return _as(m, object) % (p1 * p2)
+
+    def _lift(self, base: np.ndarray) -> np.ndarray:
+        dtype = _tier(_entry_max(base), _FORMAT_LIMITS)
         if dtype is object and self.modulus is not None:
-            return self._residues(base)
+            return self._reduced(base)
         return _as(base, dtype)
 
-    def _residues(self, m) -> tuple[np.ndarray, np.ndarray]:
-        # Python ints: the encoding r1 * p2 + r2 would wrap in int64
-        parts = m if isinstance(m, tuple) else (_as(m, object),) * 2
-        return tuple(x % q for x, q in zip(parts, self.modulus))
-
-    def _combine(self, checked, residue_op, a, b):
+    def _combine(self, checked, raw, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``checked(a, b)`` on exact values; in modular mode past int64,
-        ``residue_op`` on the residues of each prime."""
-        exact = self.modulus is None or (
-            not isinstance(a, tuple)
-            and not isinstance(b, tuple)
-            and _product_tier(a, b) is not object
-        )
-        if exact:
+        ``raw`` on Python ints, reduced mod ``p1 * p2``."""
+        if self.modulus is None or _product_tier(a, b) is not object:
             return checked(a, b)
-        return tuple(
-            residue_op(x, y) % q for x, y, q in zip(self._residues(a), self._residues(b), self.modulus)
-        )
+        return self._reduced(raw(_as(a, object), _as(b, object)))
 
-    def power(self, p: int):
+    def power(self, p: int) -> np.ndarray:
         if p < 1:
             raise ValueError(f"power must be >= 1, got {p}")
         got = self._pows.get(p)
@@ -214,7 +211,7 @@ class PowerCache:
             got = self._pows[p] = self._combine(checked_matmul, np.matmul, a, b)
         return got
 
-    def _diag(self, p: int):
+    def _diag(self, p: int) -> np.ndarray:
         if p < 1:
             raise ValueError(f"power must be >= 1, got {p}")
         got = self._diags.get(p)
@@ -222,27 +219,25 @@ class PowerCache:
             h = p // 2
             if h:
                 got = self._combine(checked_rowdot, _rowdot, self.power(h), self.power(p - h))
-            elif isinstance(self._pows[1], tuple):
-                got = tuple(np.diagonal(x, axis1=-2, axis2=-1) for x in self._pows[1])
             else:
-                got = _diagonal_values(np.diagonal(self._pows[1], axis1=-2, axis2=-1))
+                got = np.diagonal(self._pows[1], axis1=-2, axis2=-1)
+                if self.modulus is None or got.dtype != object:  # reduced ones may pass u64
+                    got = _diagonal_values(got)
             self._diags[p] = got
         return got
 
-    def _report(self, x):
+    def _report(self, x: np.ndarray) -> np.ndarray:
         if self.modulus is None:
             return x
-        r1, r2 = self._residues(x)
-        return r1 * self.modulus[1] + r2
+        p1, p2 = self.modulus
+        x = _as(x, object)  # Python ints: the encoding would wrap in int64
+        return (x % p1) * p2 + x % p2
 
     def diag_array(self, p: int) -> np.ndarray:
         return self._report(self._diag(p))
 
     def trace_array(self, p: int) -> np.ndarray:
-        d = self._diag(p)
-        if isinstance(d, tuple):
-            return self._report(tuple(x.sum(axis=-1) for x in d))
-        return self._report(_row_sums(d))
+        return self._report(_row_sums(self._diag(p)))
 
     def diagonals(self, p: int) -> list[tuple[int, ...]]:
         """Unsorted diagonal of the p-th power, one tuple per stacked matrix."""

@@ -250,6 +250,16 @@ def test_report_overflow_falls_back_per_family(tmp_path, capsys):
     assert "exact arithmetic overflowed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, power", [("vertex-inv", "30"), ("edge-inv", "12")])
+def test_per_graph_overflow_asks_for_modular_mode(tmp_path, capsys, command, power):
+    # exact values of these T(8) powers pass the unsigned 64-bit range
+    f = write(tmp_path, "t8.g6", triangular_graph(8))
+    assert main([command, f, "--powers", power]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("; retry in modular mode\n")
+    assert main([command, f, "--powers", power, "--modulus"]) == 0
+
+
 def test_compare_overflow_falls_back(tmp_path, capsys):
     # exact Tr30 of srg(28,12,6,4) passes the unsigned 64-bit range
     fa = write(tmp_path, "t8.g6", triangular_graph(8))

@@ -94,6 +94,15 @@ def test_exact_base_is_never_rounded_or_wrapped():
         PowerCache(np.array([[[2**70]]], dtype=object)).diag_array(1)
 
 
+def test_signed_bases_are_bounded_by_magnitude():
+    # bounds from max(a) alone put these products on tiers that cannot hold them
+    cache = PowerCache(np.array([[[-(2**31), 1], [1, -(2**31)]]]))
+    assert cache.diag_array(2).tolist() == [[2**62 + 1] * 2]
+    assert cache.traces(2) == [2**63 + 2]
+    with pytest.raises(MatrixOverflowError):
+        PowerCache(np.array([[[-(2**40) - 1, 1], [1, 1]]])).diag_array(2)
+
+
 def test_overflow_raises_via_accumulated_growth():
     ones = np.ones((1, 2, 2), dtype=np.uint8)
     with pytest.raises(MatrixOverflowError):
@@ -186,17 +195,18 @@ TIERS = {
 def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
     for name, value in TIERS[tier].items():
         monkeypatch.setattr(matpow, name, value)
-    stack = random_01_stack(3, 6, 100 + seed)
-    assert any(not np.array_equal(m, m.T) for m in stack)
-    halves, full = PowerCache(stack), PowerCache(stack)
-    for p in range(1, 14):
-        want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
-        got = halves.diag_array(p)
-        assert got.dtype == (object if tier == "object" and p > 1 else np.int64)
-        assert got.tolist() == want
-        assert np.diagonal(full.power(p), axis1=1, axis2=2).tolist() == want
-        assert halves.traces(p) == [sum(row) for row in want]
-        assert halves.diagonals(p) == [tuple(row) for row in want]
+    signed = random_01_stack(3, 6, 110 + seed).astype(np.int64) * -3 + 1  # entries 1, -2
+    for stack in (random_01_stack(3, 6, 100 + seed), signed):
+        assert any(not np.array_equal(m, m.T) for m in stack)
+        halves, full = PowerCache(stack), PowerCache(stack)
+        for p in range(1, 14):
+            want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
+            got = halves.diag_array(p)
+            assert got.dtype == (object if tier == "object" and p > 1 else np.int64)
+            assert got.tolist() == want
+            assert np.diagonal(full.power(p), axis1=1, axis2=2).tolist() == want
+            assert halves.traces(p) == [sum(row) for row in want]
+            assert halves.diagonals(p) == [tuple(row) for row in want]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -265,21 +275,26 @@ SWITCH_BASES = {
 @pytest.mark.parametrize("name", sorted(SWITCH_BASES))
 def test_modular_engine_across_the_residue_switch(name, modulus):
     # entries pass the int64 bound mid-recursion (P17 of the 16x16 ones, P30
-    # of the 9x9 0/1 stack), so odd powers multiply a residue power by the
-    # exact base and later diagonals dot an exact half power with a residue
+    # of the 9x9 0/1 stack), so odd powers multiply a reduced power by the
+    # exact base and later diagonals dot an exact half power with a reduced
     # one; with (5, 7) the exact values exceed both primes long before that
     stack = SWITCH_BASES[name]
     mod = ModularPowerCache(stack, modulus)
+    big = modulus[0] * modulus[1]
     want = [np.asarray(m).astype(object) for m in stack]
     for p in range(1, 61):
         diags = [[int(x) for x in np.diagonal(w)] for w in want]
         assert mod.diag_array(p).tolist() == [[encoded(x, modulus) for x in d] for d in diags]
         assert mod.traces(p) == [encoded(sum(d), modulus) for d in diags]
+        # a power is its exact values, or past int64 Python ints reduced mod
+        # p1 * p2; reduced (5, 7) values run exactly on float64 again, so
+        # the dtype alone does not say which
+        got = mod.power(p)
+        values = [int(x) for x in got.ravel().tolist()]
+        assert [x % big for x in values] == [x % big for x in np.ravel(want).tolist()]
+        if got.dtype == object:
+            assert all(0 <= x < big for x in values)
         want = [w @ np.asarray(m).astype(object) for w, m in zip(want, stack)]
-    # residue pairs are tuples; a base outside 0..2**63-1 is reduced from the start
-    lifted = name in ("object2**70", "negative")
-    assert isinstance(mod.power(1), tuple) == isinstance(mod.power(2), tuple) == lifted
-    assert isinstance(mod.power(60), tuple)
 
 
 def test_modular_engine_takes_the_exact_fast_path(matmul_calls):
