@@ -36,7 +36,6 @@ from .vertexinv import (
 )
 from .edgeinv import (
     BarMatrix,
-    DirectedEdgeIndex,
     EdgePartition,
     bar_power_diag,
     build_bar_matrix,

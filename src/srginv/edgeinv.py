@@ -7,6 +7,26 @@ each intermediate pair to be an edge, so restricting rows and columns to
 the 2|E| directed edges is exact for diagonals of powers p >= 2. The
 diagonal at (a,b) counts length-p walks in the "edges adjacent by ends"
 structure.
+
+That restriction ``B`` commutes with the swap (a,b) <-> (b,a), so it
+splits into two blocks on the |E| undirected edges ``e = (a<b)``,
+``f = (c<d)``: ``B+ = S + W`` on orientation-symmetric vectors and
+``B- = S - W`` on antisymmetric ones, with ``S[e,f] = A_ac * A_bd`` and
+``W[e,f] = A_ad * A_bc``. The unit vector of (a,b) is the sum of one of
+each, divided by sqrt 2, so
+
+    B^p[(a,b),(a,b)] = B^p[(b,a),(b,a)] = (B+^p[e,e] + B-^p[e,e]) / 2,
+    tr(B^p) = tr(B+^p) + tr(B-^p).
+
+Both blocks are integer matrices, so the sum is an exact, even integer
+and halves exactly (in modular mode, by the inverse of 2 mod ``p1 * p2``).
+Only the blocks are powered: a quarter of the flops of powering ``B``.
+Exact mode checks the entries of the half powers of ``B+`` and ``B-``.
+``B+^h[e,f] = B^h[(a,b),(c,d)] + B^h[(a,b),(d,c)]`` and ``B^h >= 0``, so
+they bound the entries of ``B^h`` in magnitude and are at most twice as
+large: an overflow error comes whenever powering ``B`` gives one, and at
+most one bit of range earlier (on T(8), edge power 11 is exact and 12
+overflows, either way).
 """
 
 from __future__ import annotations
@@ -20,40 +40,25 @@ from .matpow import check_powers, power_cache
 from .vertexinv import InvariantMode
 
 
-class DirectedEdgeIndex:
-    """Lexicographically sorted directed edge pairs with reverse lookup."""
-
-    __slots__ = ("pairs", "_pos")
-
-    def __init__(self, pairs):
-        self.pairs = tuple((int(a), int(b)) for a, b in pairs)
-        self._pos = {ab: i for i, ab in enumerate(self.pairs)}
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "DirectedEdgeIndex":
-        # row-major order of the nonzero entries is the lexicographic order
-        heads, tails = np.nonzero(g.dense())
-        return cls(zip(heads.tolist(), tails.tolist()))
-
-    def position(self, a: int, b: int) -> int:
-        return self._pos[(a, b)]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 class BarMatrix:
-    """0/1 matrix over directed edges; entry((a,b),(c,d)) = A_ac * A_bd."""
+    """The bar matrix split by orientation, over the undirected edges.
 
-    __slots__ = ("index", "entries")
+    ``blocks`` is the int8 (2, |E|, |E|) stack ``(B+, B-)`` on the edges
+    ``e = (a<b)`` in lexicographic order; ``edge_of[i]`` is the undirected
+    index of the i-th directed edge, in the row-major order of the nonzero
+    adjacency entries.
+    """
 
-    def __init__(self, index: DirectedEdgeIndex, entries: np.ndarray):
-        self.index = index
-        self.entries = entries
+    __slots__ = ("blocks", "edge_of")
+
+    def __init__(self, blocks: np.ndarray, edge_of: np.ndarray):
+        self.blocks = blocks
+        self.edge_of = edge_of
 
     @property
     def n(self) -> int:
-        return len(self.index)
+        """Number of directed edges, 2|E|."""
+        return len(self.edge_of)
 
     @property
     def is_empty(self) -> bool:
@@ -61,14 +66,14 @@ class BarMatrix:
 
 
 def build_bar_matrix(g: Graph) -> BarMatrix:
-    """Edge-restricted bar matrix; an edgeless graph yields the empty matrix."""
-    a = g.dense()
-    heads, tails = np.nonzero(a)
-    index = DirectedEdgeIndex(zip(heads.tolist(), tails.tolist()))
-    if not index.pairs:
-        return BarMatrix(index, np.zeros((0, 0), dtype=np.uint8))
-    entries = a[heads][:, heads] * a[tails][:, tails]
-    return BarMatrix(index, entries)
+    """Orientation blocks of the bar matrix; an edgeless graph yields empty ones."""
+    a = g.dense().astype(np.int8)  # signed: B- has entries -1..1
+    heads, tails = np.nonzero(np.triu(a))
+    s = a[heads][:, heads] * a[tails][:, tails]  # A_ac * A_bd
+    w = a[heads][:, tails] * a[tails][:, heads]  # A_ad * A_bc
+    undirected = np.zeros(a.shape, dtype=np.intp)
+    undirected[heads, tails] = undirected[tails, heads] = np.arange(len(heads))
+    return BarMatrix(np.stack((s + w, s - w)), undirected[np.nonzero(a)])
 
 
 @dataclass(frozen=True)
@@ -89,13 +94,12 @@ def bar_diag_table(
     bar = build_bar_matrix(g)
     if bar.is_empty:
         return {p: BarPowerDiag(p, (), (), 0) for p in powers}
-    cache = power_cache(bar.entries[None, :, :], modulus)
+    cache = power_cache(bar.blocks, modulus)
     out = {}
     for p in powers:
-        diag = cache.diag_array(p)[0]
-        out[p] = BarPowerDiag(
-            p, tuple(diag.tolist()), tuple(np.sort(diag).tolist()), cache.traces(p)[0]
-        )
+        half, trace = cache.half_sum(p)
+        diag = half[bar.edge_of]
+        out[p] = BarPowerDiag(p, tuple(diag.tolist()), tuple(np.sort(diag).tolist()), trace)
     return out
 
 
@@ -155,9 +159,10 @@ def edge_partition(
 def partition_edges(g: Graph, diag: BarPowerDiag) -> EdgePartition:
     """Directed edges of ``g`` grouped by their values in ``diag``, a bar
     power diagonal of ``g`` from :func:`bar_diag_table`."""
-    index = DirectedEdgeIndex.from_graph(g)
+    # row-major order of the nonzero entries is the lexicographic order
+    heads, tails = np.nonzero(g.dense())
     groups: dict[int, list[tuple[int, int]]] = {}
-    for pair, value in zip(index.pairs, diag.per_pair):
+    for pair, value in zip(zip(heads.tolist(), tails.tolist()), diag.per_pair):
         groups.setdefault(value, []).append(pair)
     blocks = tuple(
         EdgeBlock(value, tuple(groups[value])) for value in sorted(groups)

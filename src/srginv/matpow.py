@@ -239,6 +239,27 @@ class PowerCache:
     def trace_array(self, p: int) -> np.ndarray:
         return self._report(_row_sums(self._diag(p)))
 
+    def half_sum(self, p: int) -> tuple[np.ndarray, int]:
+        """The encoded diagonal of ``(M0^p + M1^p) / 2`` over a stack of
+        two, and the encoded trace of ``M0^p + M1^p``.
+
+        Every diagonal sum must be even. Exact sums halve exactly; in
+        modular mode a sum may be reduced mod ``p1 * p2``, so it is
+        multiplied by the inverse of 2 there, which needs odd primes.
+        """
+        if self._pows[1].shape[0] != 2:
+            raise ValueError(f"half_sum needs a stack of two, got {self._pows[1].shape[0]}")
+        total = _row_sums(self._diag(p).T)
+        trace = _row_sums(total[None])
+        if self.modulus is None:
+            half = total // 2
+        else:
+            n = self.modulus[0] * self.modulus[1]
+            if n % 2 == 0:
+                raise ValueError(f"halving mod {n} needs odd primes")
+            half = _as(total, object) * pow(2, -1, n) % n
+        return self._report(half), self._report(trace).tolist()[0]
+
     def diagonals(self, p: int) -> list[tuple[int, ...]]:
         """Unsorted diagonal of the p-th power, one tuple per stacked matrix."""
         return [tuple(row) for row in self.diag_array(p).tolist()]

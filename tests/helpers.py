@@ -26,6 +26,14 @@ from srginv.catalog import (
 )
 from srginv.graph import Graph
 
+# matpow thresholds to monkeypatch, lowered so that small matrices run
+# every arithmetic path
+TIERS = {
+    "float64": {},
+    "int64": {"_FLOAT_SAFE": 0},
+    "object": {"_FLOAT_SAFE": 0, "_INT64_SAFE": 0},
+}
+
 
 def er_graph(v: int, seed: int, p: float = 0.5) -> Graph:
     """Seeded Erdos-Renyi graph."""
@@ -62,6 +70,12 @@ def srg_fixtures() -> dict[str, Graph]:
     keep = ("rook4", "shrikhande", "petersen", "c5", "paley13", "paley17", "t5", "k33")
     fx = fixture_graphs()
     return {k: fx[k] for k in keep}
+
+
+def directed_edges(g: Graph) -> list[tuple[int, int]]:
+    """Both orientations of every edge, in lexicographic order: the order
+    of ``BarPowerDiag.per_pair``."""
+    return [(a, b) for a in range(g.v) for b in range(g.v) if g.has_edge(a, b)]
 
 
 def dense_tilde_power_diag(g: Graph, p: int) -> dict[tuple[int, int], int]:

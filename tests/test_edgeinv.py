@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from srginv.catalog import complete_graph, empty_graph, star_graph
+from srginv import matpow
+from srginv.catalog import complete_graph, empty_graph, star_graph, triangular_graph
 from srginv.edgeinv import (
-    DirectedEdgeIndex,
     bar_diag_table,
     bar_power_diag,
     build_bar_matrix,
     edge_partition,
 )
 from srginv.isomorphism import random_relabel
-from srginv.matpow import DEFAULT_MODULUS
+from srginv.matpow import DEFAULT_MODULUS, MatrixOverflowError
 from srginv.vertexinv import InvariantMode
 
-from helpers import dense_bar_power_diag, er_graph, fixture_graphs
+from helpers import TIERS, dense_bar_power_diag, directed_edges, er_graph, fixture_graphs
 
 FX = fixture_graphs()
 TRACE = InvariantMode.TRACE
@@ -21,29 +21,36 @@ SD = InvariantMode.SORTED_DIAG
 
 
 def test_index_contains_both_orientations():
-    idx = DirectedEdgeIndex.from_graph(FX["petersen"])
-    assert len(idx) == 30
-    for a, b in idx.pairs:
-        assert (b, a) in idx.pairs
-    assert list(idx.pairs) == sorted(idx.pairs)
+    # both orientations of each undirected edge share its index
+    pairs = directed_edges(FX["petersen"])
+    bar = build_bar_matrix(FX["petersen"])
+    assert bar.n == len(pairs) == 30
+    position = {pair: i for i, pair in enumerate(pairs)}
+    undirected = sorted((a, b) for a, b in pairs if a < b)
+    for (a, b), e in zip(pairs, bar.edge_of.tolist()):
+        assert undirected[e] == (min(a, b), max(a, b))
+        assert bar.edge_of[position[(b, a)]] == e
 
 
 def test_k2_bar_matrix():
     bar = build_bar_matrix(complete_graph(2))
-    assert bar.index.pairs == ((0, 1), (1, 0))
-    assert bar.entries.tolist() == [[0, 1], [1, 0]]
+    assert bar.edge_of.tolist() == [0, 0]
+    # the directed matrix [[0, 1], [1, 0]] has eigenvalue 1 on the symmetric
+    # vector and -1 on the antisymmetric one
+    assert bar.blocks.tolist() == [[[1]], [[-1]]]
 
 
 def test_k3_bar_matrix_row_sums():
+    # a row sum of B+ at e is the directed row sum at either orientation of e
     bar = build_bar_matrix(complete_graph(3))
     assert bar.n == 6
-    assert bar.entries.sum(axis=1).tolist() == [3] * 6
+    assert bar.blocks[0].sum(axis=1).tolist() == [3] * 3
 
 
 def test_star_bar_matrix_row_sums():
     bar = build_bar_matrix(star_graph(3))
     assert bar.n == 6
-    assert bar.entries.sum(axis=1).tolist() == [3] * 6
+    assert bar.blocks[0].sum(axis=1).tolist() == [3] * 3
 
 
 def test_edgeless_graph_flagged_empty():
@@ -88,8 +95,7 @@ def test_dense_restriction_equivalence(name, p):
         pytest.skip("dense bar oracle is limited to v <= 10")
     dense = dense_bar_power_diag(g, p)
     table = bar_diag_table(g, (p,))[p]
-    idx = DirectedEdgeIndex.from_graph(g)
-    for pair, value in zip(idx.pairs, table.per_pair):
+    for pair, value in zip(directed_edges(g), table.per_pair, strict=True):
         assert dense[pair] == value, (name, p, pair)
     for a in range(g.v):
         for b in range(g.v):
@@ -103,19 +109,19 @@ def test_dense_restriction_equivalence_random(seed):
     for p in (2, 3):
         dense = dense_bar_power_diag(g, p)
         table = bar_diag_table(g, (p,))[p]
-        idx = DirectedEdgeIndex.from_graph(g)
-        for pair, value in zip(idx.pairs, table.per_pair):
+        for pair, value in zip(directed_edges(g), table.per_pair, strict=True):
             assert dense[pair] == value
 
 
 @pytest.mark.parametrize("name", ["prism", "petersen", "rook4", "paley13"])
 def test_orientation_symmetry(name):
     g = FX[name]
-    idx = DirectedEdgeIndex.from_graph(g)
+    pairs = directed_edges(g)
+    position = {pair: i for i, pair in enumerate(pairs)}
     for p in (2, 3, 5):
         per_pair = bar_diag_table(g, (p,))[p].per_pair
-        for (a, b), value in zip(idx.pairs, per_pair):
-            assert per_pair[idx.position(b, a)] == value
+        for (a, b), value in zip(pairs, per_pair, strict=True):
+            assert per_pair[position[(b, a)]] == value
 
 
 @pytest.mark.parametrize("name", ["prism", "petersen", "paley13"])
@@ -174,9 +180,52 @@ def test_bar_values_in_modular_mode():
 def test_bar_matrix_entries_match_definition():
     g = FX["prism"]
     bar = build_bar_matrix(g)
-    a = g.dense()
-    for i, (x, y) in enumerate(bar.index.pairs):
-        for j, (c, d) in enumerate(bar.index.pairs):
-            assert bar.entries[i, j] == a[x, c] * a[y, d]
-    # diagonal is zero: entry((a,b),(a,b)) = A_aa * A_bb
-    assert not np.diagonal(bar.entries).any()
+    a = g.dense().astype(int)
+    assert bar.blocks.dtype == np.int8  # signed: B- has entries -1..1
+    undirected = [(x, y) for x, y in directed_edges(g) if x < y]
+    assert bar.blocks.shape == (2, 9, 9)
+
+    def directed(x, y, c, d):  # the bar matrix entry at ((x,y),(c,d))
+        return a[x, c] * a[y, d]
+
+    for i, (x, y) in enumerate(undirected):
+        for j, (c, d) in enumerate(undirected):
+            assert bar.blocks[0, i, j] == directed(x, y, c, d) + directed(x, y, d, c)
+            assert bar.blocks[1, i, j] == directed(x, y, c, d) - directed(x, y, d, c)
+    # the directed diagonal is zero: entry((a,b),(a,b)) = A_aa * A_bb
+    assert not np.diagonal(bar.blocks[0] + bar.blocks[1]).any()
+
+
+def encoded(x, modulus):
+    if modulus is None:
+        return x
+    p1, p2 = modulus
+    return (x % p1) * p2 + x % p2
+
+
+@pytest.mark.parametrize("modulus", [None, (5, 7)])
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_bar_table_matches_dense_in_every_tier(tier, modulus, monkeypatch):
+    # forced object tier with (5, 7) reduces the half powers, so halving
+    # their diagonal sums takes the inverse of 2 mod 35
+    for name, value in TIERS[tier].items():
+        monkeypatch.setattr(matpow, name, value)
+    powers = (2, 3, 4, 5)
+    for g in (FX["prism"], FX["petersen"], er_graph(7, 31)):
+        pairs = directed_edges(g)
+        table = bar_diag_table(g, powers, modulus=modulus)
+        for p in powers:
+            dense = dense_bar_power_diag(g, p)
+            want = [encoded(dense[pair], modulus) for pair in pairs]
+            assert list(table[p].per_pair) == want
+            assert list(table[p].sorted_values) == sorted(want)
+            assert table[p].trace == encoded(sum(dense[pair] for pair in pairs), modulus)
+
+
+def test_exact_overflow_boundary_on_t8():
+    # the blocks' half powers bound the bar matrix's by magnitude, so the
+    # first edge power to overflow on T(8) is still 12
+    g = triangular_graph(8)
+    assert bar_diag_table(g, (11,))[11].trace > 0
+    with pytest.raises(MatrixOverflowError):
+        bar_diag_table(g, (12,))

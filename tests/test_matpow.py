@@ -18,6 +18,8 @@ from srginv.matpow import (
 )
 from srginv.vertexinv import NeighborhoodPowerCache
 
+from helpers import TIERS
+
 
 def random_01_stack(m, k, seed):
     rng = random.Random(seed)
@@ -182,14 +184,6 @@ def test_u64_max_constant():
     assert U64_MAX == 2**64 - 1
 
 
-# thresholds lowered so one small stack runs every arithmetic path
-TIERS = {
-    "float64": {},
-    "int64": {"_FLOAT_SAFE": 0},
-    "object": {"_FLOAT_SAFE": 0, "_INT64_SAFE": 0},
-}
-
-
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("tier", sorted(TIERS))
 def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
@@ -253,7 +247,8 @@ def test_traces_past_int64_stay_exact():
 def test_kernel_forms_only_half_powers(modulus, matmul_calls):
     g = paley_graph(13)
     bar_diag_table(g, (2, 3, 4, 5), modulus=modulus)
-    assert len(matmul_calls) == 2  # B^2 and B^3
+    # B±^2 and B±^3, batched over the two |E| x |E| orientation blocks
+    assert matmul_calls == [(2, 39, 39)] * 2
     matmul_calls.clear()
     NeighborhoodPowerCache(g, modulus).trace(3)
     assert len(matmul_calls) == 1  # the stacked square of the neighborhood matrices
@@ -261,6 +256,39 @@ def test_kernel_forms_only_half_powers(modulus, matmul_calls):
 
 def encoded(x, modulus):
     return (x % modulus[0]) * modulus[1] + x % modulus[1]
+
+
+@pytest.mark.parametrize("modulus", [None, (5, 7), DEFAULT_MODULUS])
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
+    for name, value in TIERS[tier].items():
+        monkeypatch.setattr(matpow, name, value)
+    # (M + N)^p + (M - N)^p sums the words with an even number of N's, twice
+    m, n = random_01_stack(2, 6, 500).astype(np.int64)
+    cache = PowerCache(np.stack((m + n, m - n)), modulus)
+    for p in range(1, 12):
+        total = np.diagonal(exact_power(m + n, p) + exact_power(m - n, p))
+        half, trace = cache.half_sum(p)
+        if modulus is None:
+            assert half.tolist() == [int(x) // 2 for x in total]
+            assert trace == int(sum(total))
+        else:
+            assert half.tolist() == [encoded(int(x) // 2, modulus) for x in total]
+            assert trace == encoded(int(sum(total)), modulus)
+
+
+def test_half_sum_past_int64_stays_exact():
+    # each diagonal entry is 2^62 (int64 path); their sum 2^63 is not
+    half, trace = PowerCache(np.ones((2, 2, 2), dtype=np.uint8)).half_sum(63)
+    assert half.tolist() == [2**62, 2**62]
+    assert trace == 2**64
+
+
+def test_half_sum_needs_two_matrices_and_odd_primes():
+    with pytest.raises(ValueError):
+        PowerCache(random_01_stack(3, 4, 1)).half_sum(2)
+    with pytest.raises(ValueError):
+        PowerCache(random_01_stack(2, 4, 1), (2, 3)).half_sum(2)
 
 
 SWITCH_BASES = {
