@@ -6,6 +6,12 @@ stage. Two graphs stay in the same class only while every stage so far
 agrees, so grouping refines stage by stage and the per-stage class counts
 are nondecreasing. A stage's work is only spent on graphs still sharing a
 class with another graph.
+
+``distinguish_family`` is the one runner of the ladder. A family of one
+graph gets no stage, only its single-block flag; ``compare_pair`` runs its
+pair as a two-graph family, and ``dataset_report`` runs each family. An
+exact run that overflows int64 is re-run whole under DEFAULT_MODULUS by
+``distinguish_family`` itself, which marks the report.
 """
 
 from __future__ import annotations
@@ -13,14 +19,13 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .edgeinv import BarPowerDiag, bar_diag_table
 from .graph import Graph, GraphFormatError, SrgParams, parse_graphs, srg_diagnosis
 from .matpow import DEFAULT_MODULUS, MatrixOverflowError, check_powers
 from .vertexinv import (
-    GraphSignature,
     InvariantMode,
     NeighborhoodPowerCache,
     outblock_signature,
@@ -185,7 +190,6 @@ class StageResult:
 @dataclass
 class DistinguishReport:
     family: str
-    params: SrgParams | None
     count: int
     stages: list[StageResult]
     final_classes: int
@@ -215,17 +219,6 @@ class DistinguishReport:
         return obj
 
 
-def _vertex_boundary(stages: list[StageResult], count: int) -> tuple[int, int]:
-    """(unresolved graphs, unresolved pairs) after the last non-edge stage."""
-    last = None
-    for res in stages:
-        if res.kind is not StageKind.EDGE:
-            last = res
-    if last is None:
-        return count, count * (count - 1) // 2
-    return last.unresolved_graphs, last.unresolved_pairs
-
-
 def distinguish_family(
     graphs,
     ladder: LadderConfig | None = None,
@@ -237,16 +230,34 @@ def distinguish_family(
     """Run the ladder over one family and count distinguished classes.
 
     Graphs are grouped by cumulative signature; the run stops once every
-    graph sits in its own class, so later stages get no result.
+    graph sits in its own class, so later stages get no result (a single
+    graph gets none at all). An exact run that overflows is re-run whole
+    under DEFAULT_MODULUS, so its values stay comparable with each other,
+    and the report records why.
     """
     graphs = list(graphs)
-    n = len(graphs)
-    if n < 2:
-        raise ValueError("a family needs at least 2 graphs to distinguish")
+    if not graphs:
+        raise ValueError("a family needs at least 1 graph")
     ladder = ladder or default_ladder()
     if family is None:
         family = params.key() if params is not None else f"{graphs[0].v}-?"
+    try:
+        return _walk_ladder(graphs, ladder, modulus, family)
+    except MatrixOverflowError as e:
+        if modulus is not None:
+            raise
+        report = _walk_ladder(graphs, ladder, DEFAULT_MODULUS, family)
+        report.fallback = str(e)
+        return report
 
+
+def _walk_ladder(
+    graphs: list[Graph],
+    ladder: LadderConfig,
+    modulus: tuple[int, int] | None,
+    family: str,
+) -> DistinguishReport:
+    n = len(graphs)
     states: list[_GraphState | None] = [_GraphState(g, modulus) for g in graphs]
     vertex_powers = ladder.vertex_powers()
     single_flags = [False] * n
@@ -258,8 +269,11 @@ def distinguish_family(
             single_flags[i] = states[i].is_single_block(vertex_powers)
         states[i] = None
 
-    groups: list[list[int]] = [list(range(n))]
-    singletons = 0
+    # a lone graph is its own class before any stage runs
+    groups: list[list[int]] = [list(range(n))] if n > 1 else []
+    singletons = n - sum(map(len, groups))
+    # unresolved graphs and pairs after the last non-edge stage so far
+    shared_graphs, edge_pairs = n - singletons, n * (n - 1) // 2
     results: list[StageResult] = []
 
     for stage in ladder.stages:
@@ -284,6 +298,8 @@ def distinguish_family(
         results.append(
             StageResult(stage.kind, stage.mode, stage.powers, classes, unresolved_graphs, unresolved_pairs)
         )
+        if stage.kind is not StageKind.EDGE:
+            shared_graphs, edge_pairs = unresolved_graphs, unresolved_pairs
 
     final_pairs = [
         (grp[i], grp[j])
@@ -292,7 +308,6 @@ def distinguish_family(
         for j in range(i + 1, len(grp))
     ]
     final_classes = singletons + len(groups)
-    shared_graphs, edge_pairs = _vertex_boundary(results, n)
 
     for i in range(n):
         if states[i] is not None:
@@ -301,7 +316,6 @@ def distinguish_family(
 
     return DistinguishReport(
         family=family,
-        params=params,
         count=n,
         stages=results,
         final_classes=final_classes,
@@ -350,33 +364,16 @@ def compare_pair(
     *,
     modulus: tuple[int, int] | None = None,
 ) -> PairVerdict:
-    """First ladder stage whose signatures differ, if any. An exact run that
-    overflows is re-run under DEFAULT_MODULUS, and the verdict records why."""
+    """The pair run as a two-graph family: the stage that separated it, if
+    any, and the family's fallback note."""
     if g1.v != g2.v:
         raise ValueError(f"vertex counts differ: {g1.v} vs {g2.v}")
     ladder = ladder or default_ladder()
-
-    def run(modulus) -> PairVerdict:
-        s1, s2 = _GraphState(g1, modulus), _GraphState(g2, modulus)
-        for i, stage in enumerate(ladder.stages, start=1):
-            if s1.payload(stage) != s2.payload(stage):
-                return PairVerdict(True, i, stage)
-        return PairVerdict(False, None, None)
-
-    verdict, fallback = _exact_or_fallback(run, modulus)
-    return replace(verdict, fallback=fallback)
-
-
-def _exact_or_fallback(run, modulus):
-    """``(run(modulus), None)``; when an exact run overflows, the whole run
-    again under DEFAULT_MODULUS, so its values stay comparable with each
-    other, and the overflow message."""
-    try:
-        return run(modulus), None
-    except MatrixOverflowError as e:
-        if modulus is not None:
-            raise
-        return run(DEFAULT_MODULUS), str(e)
+    report = distinguish_family([g1, g2], ladder, modulus=modulus)
+    if not report.distinguished:
+        return PairVerdict(False, None, None, report.fallback)
+    stage = len(report.stages)
+    return PairVerdict(True, stage, ladder.stages[stage - 1], report.fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -464,41 +461,10 @@ def group_families(entries) -> list[Family]:
     return sorted(by_key.values(), key=order)
 
 
-def _family_report(fam: Family, ladder: LadderConfig, modulus) -> DistinguishReport:
-    if len(fam.graphs) >= 2:
-        return distinguish_family(
-            fam.graphs,
-            ladder,
-            modulus=modulus,
-            params=fam.params,
-            family=fam.key,
-        )
-    state = _GraphState(fam.graphs[0], modulus)
-    vertex_powers = ladder.vertex_powers()
-    single = (
-        int(state.is_single_block(vertex_powers)) if vertex_powers else None
-    )
-    return DistinguishReport(
-        family=fam.key,
-        params=fam.params,
-        count=1,
-        stages=[],
-        final_classes=1,
-        distinguished=True,
-        unresolved_pairs=[],
-        pairs_requiring_edge=0,
-        shared_vertex_invariant_graphs=0,
-        single_block_graphs=single,
-    )
-
-
 def _family_job(payload) -> DistinguishReport:
-    """One family's report; an exact run that overflows is re-run whole
-    under DEFAULT_MODULUS, and the report records why."""
+    """One family's report; module-level, so a process pool can pickle it."""
     fam, ladder, modulus = payload
-    report, fallback = _exact_or_fallback(lambda m: _family_report(fam, ladder, m), modulus)
-    report.fallback = fallback
-    return report
+    return distinguish_family(fam.graphs, ladder, modulus=modulus, family=fam.key)
 
 
 @dataclass
@@ -596,7 +562,8 @@ def dataset_report(
     families = group_families(entries)
     payloads = [(fam, ladder, modulus) for fam in families]
     if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             reports = list(pool.map(_family_job, payloads))
     else:
         reports = [_family_job(p) for p in payloads]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, SrgParams
+from .graph import Graph
 from .matpow import check_powers, power_cache
 
 
@@ -34,7 +34,6 @@ class GraphSignature:
     """Per-vertex invariant vectors, lexicographically sorted ascending."""
 
     rows: tuple[tuple[int, ...], ...]
-    params: SrgParams | None = None
 
 
 @dataclass(frozen=True)
@@ -168,12 +167,11 @@ def graph_signature(
     mode: InvariantMode,
     *,
     modulus: tuple[int, int] | None = None,
-    params: SrgParams | None = None,
 ) -> GraphSignature:
     """Lex-sorted vertex signatures; identical for isomorphic graphs."""
     sigs = vertex_signatures(g, powers, mode, modulus=modulus)
     rows = tuple(sorted((s.values for s in sigs), key=row_sort_key))
-    return GraphSignature(rows, params)
+    return GraphSignature(rows)
 
 
 def partition_vertices(signatures) -> VertexPartition:
@@ -216,13 +214,13 @@ def outblock_signature(
     elif nbhd.graph != g or nbhd.modulus != modulus:
         raise ValueError("nbhd must be a cache of g under the same modulus")
     values = nbhd.signature_values(powers, mode)
-    sigs = [VertexSignature(a, vals) for a, vals in enumerate(values)]
-    base = GraphSignature(tuple(sorted((s.values for s in sigs), key=row_sort_key)))
-    part = partition_vertices(sigs)
-    if len(part.blocks) < 2:
+    if not values:
+        raise ValueError("cannot partition an empty signature list")
+    base = GraphSignature(tuple(sorted(values, key=row_sort_key)))
+    first = base.rows[0]
+    if first == base.rows[-1]:
         return OutblockSignature(base, False, (), None)
-    removed = part.blocks[0]
-    gone = set(removed)
-    keep = tuple(a for a in range(g.v) if a not in gone)
+    removed = tuple(a for a, vals in enumerate(values) if vals == first)
+    keep = tuple(a for a, vals in enumerate(values) if vals != first)
     tail = graph_signature(g.induced_subgraph(keep), powers, mode, modulus=modulus)
     return OutblockSignature(base, True, removed, tail)

@@ -1,9 +1,11 @@
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from srginv import pipeline
 from srginv.catalog import (
     chang_graphs,
     cycle_graph,
@@ -216,9 +218,12 @@ def test_family_class_counts_monotone():
     assert report.final_classes >= 1
 
 
-def test_family_needs_two_graphs():
+def test_family_needs_one_graph():
     with pytest.raises(ValueError):
-        distinguish_family([FX["rook4"]])
+        distinguish_family([])
+    g = FX["petersen"]
+    report = distinguish_family([g], params=check_srg(g))
+    assert report == dataset_report(load_dataset_text(g.to_graph6())).families[0]
 
 
 def test_compare_pair_examples():
@@ -238,6 +243,57 @@ def test_compare_pair_examples():
     v = compare_pair(cube_graph(), wagner_graph())
     assert v.distinguished
     assert v.stage_config.kind is StageKind.EDGE
+
+
+def _pair_cases():
+    names = sorted(FX)
+    for a, b in itertools.combinations_with_replacement(names, 2):
+        if FX[a].v == FX[b].v:
+            yield f"{a}-{b}", FX[a], FX[b], None
+    t8, chang = triangular_graph(8), chang_graphs()[0]
+    yield "t8-chang-tr30", t8, chang, TR30
+    yield "rook4-shrikhande-tr30", FX["rook4"], FX["shrikhande"], TR30
+
+
+def test_compare_pair_is_a_two_graph_family():
+    seen_fallback = False
+    for case, g, h, ladder in _pair_cases():
+        verdict = compare_pair(g, h, ladder)
+        report = distinguish_family([g, h], ladder)
+        assert verdict.distinguished == report.distinguished, case
+        want = len(report.stages) if report.distinguished else None
+        assert verdict.stage == want, case
+        stages = (ladder or default_ladder()).stages
+        assert verdict.stage_config == (stages[want - 1] if want else None), case
+        assert verdict.fallback == report.fallback, case
+        seen_fallback |= verdict.fallback is not None
+    assert seen_fallback  # the T(8)/Chang pair overflows under TR30
+
+
+def test_report_pool_is_capped_at_the_family_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor without starting a process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    entries = load_dataset_text(
+        "\n".join(g.to_graph6() for g in (FX["rook4"], FX["shrikhande"], FX["petersen"]))
+    )
+    serial = dataset_report(entries).to_json()
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    assert dataset_report(entries, jobs=4).to_json() == serial
+    assert sizes == [2]
 
 
 def test_compare_pair_checks_vertex_count():

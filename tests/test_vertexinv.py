@@ -261,6 +261,8 @@ def test_zero_vertex_graph_signature():
     g = Graph(0, [])
     assert graph_signature(g, [3], SD).rows == ()
     assert vertex_signatures(g, [3], TRACE) == []
+    with pytest.raises(ValueError, match="empty signature list"):
+        outblock_signature(g, [3], SD)
 
 
 def test_modular_mode_matches_exact_for_small_values():
