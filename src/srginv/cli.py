@@ -2,8 +2,9 @@
 
 Subcommands: check-srg, vertex-inv, edge-inv, compare, report. Input files
 are graph6 (one record per line) or raw 0/1 adjacency rows (blank-line
-separated blocks), auto-detected by default. Graphs are read from stdin
-when no file is given.
+separated blocks), auto-detected by default. Every subcommand reads its
+inputs through ``pipeline.read_graphs``: a file, a directory (its files in
+name order) or ``-`` for stdin, and stdin when no path is given.
 
 Exit codes: 0 = success / all distinguished, 2 = negative verdict
 (non-SRG input, indistinguishable pair, unresolved pairs), 1 = usage or
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .edgeinv import bar_diag_table, partition_edges
-from .graph import Graph, GraphFormatError, parse_graphs, srg_diagnosis
+from .graph import Graph, GraphFormatError, srg_diagnosis
 from .matpow import DEFAULT_MODULUS, MatrixOverflowError, check_powers
 from .pipeline import (
     DatasetError,
@@ -27,7 +28,7 @@ from .pipeline import (
     dataset_report,
     default_ladder,
     load_dataset,
-    load_dataset_text,
+    read_graphs,
 )
 from .vertexinv import (
     InvariantMode,
@@ -35,9 +36,6 @@ from .vertexinv import (
     row_sort_key,
     vertex_signatures,
 )
-
-_MODES = {"trace": InvariantMode.TRACE, "sortdiag": InvariantMode.SORTED_DIAG}
-
 
 def _parse_powers(text: str, minimum: int) -> tuple[int, ...]:
     try:
@@ -53,35 +51,10 @@ def _load_ladder(choice: str) -> LadderConfig:
     return LadderConfig.from_json(Path(choice).read_text())
 
 
-def _read_named_inputs(paths) -> list[tuple[str, str]]:
-    if not paths:
-        return [("<stdin>", sys.stdin.read())]
-    out = []
-    for p in paths:
-        if p == "-":
-            out.append(("<stdin>", sys.stdin.read()))
-        else:
-            out.append((p, Path(p).read_text()))
-    return out
-
-
-def _read_graphs(paths, fmt: str) -> list[tuple[str, int, Graph]]:
-    named = []
-    for name, text in _read_named_inputs(paths):
-        try:
-            graphs = parse_graphs(text, fmt)
-        except GraphFormatError as e:
-            raise DatasetError(f"{name}: {e}") from None
-        named.extend((name, i, g) for i, g in enumerate(graphs))
-    return named
-
-
 def _read_single_graph(path: str, fmt: str) -> Graph:
-    entries = _read_graphs([path] if path else [], fmt)
+    entries = read_graphs([path], fmt)
     if len(entries) != 1:
-        raise DatasetError(
-            f"{path or '<stdin>'}: expected exactly one graph, found {len(entries)}"
-        )
+        raise DatasetError(f"{path}: expected exactly one graph, found {len(entries)}")
     return entries[0][2]
 
 
@@ -91,7 +64,7 @@ def _modulus(args) -> tuple[int, int] | None:
 
 def cmd_check_srg(args) -> int:
     all_srg = True
-    for name, idx, g in _read_graphs(args.files, args.format):
+    for name, idx, g in read_graphs(args.files or ["-"], args.format):
         params, reason = srg_diagnosis(g)
         if params is not None:
             note = ""
@@ -106,15 +79,15 @@ def cmd_check_srg(args) -> int:
 
 
 def cmd_vertex_inv(args) -> int:
-    mode = _MODES[args.mode]
+    mode = InvariantMode(args.mode)
     powers = _parse_powers(args.powers, 1)
     modulus = _modulus(args)
     out = []
-    for name, idx, g in _read_graphs(args.files, args.format):
+    for name, idx, g in read_graphs(args.files or ["-"], args.format):
         sigs = vertex_signatures(g, powers, mode, modulus=modulus)
         part = partition_vertices(sigs)
         rows = sorted((s.values for s in sigs), key=row_sort_key)
-        params, _ = srg_diagnosis(g) if g.v >= 2 else (None, None)
+        params, _ = srg_diagnosis(g)
         out.append(
             {
                 "source": name,
@@ -143,11 +116,11 @@ def cmd_vertex_inv(args) -> int:
 
 
 def cmd_edge_inv(args) -> int:
-    mode = _MODES[args.mode]
+    mode = InvariantMode(args.mode)
     powers = _parse_powers(args.powers, 2)
     modulus = _modulus(args)
     out = []
-    for name, idx, g in _read_graphs(args.files, args.format):
+    for name, idx, g in read_graphs(args.files or ["-"], args.format):
         table = bar_diag_table(g, powers, modulus=modulus)
         part = partition_edges(g, table[powers[-1]])
         values = {
@@ -195,12 +168,7 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     ladder = _load_ladder(args.ladder)
     modulus = _modulus(args)
-    if args.paths:
-        entries = load_dataset(args.paths, args.format, allow_non_srg=args.allow_non_srg)
-    else:
-        entries = load_dataset_text(
-            sys.stdin.read(), args.format, allow_non_srg=args.allow_non_srg
-        )
+    entries = load_dataset(args.paths or ["-"], args.format, allow_non_srg=args.allow_non_srg)
     report = dataset_report(entries, ladder, modulus=modulus, jobs=args.jobs)
     if args.out == "json":
         print(report.to_json())
@@ -209,13 +177,22 @@ def cmd_report(args) -> int:
     return 0 if report.totals["unresolved_pairs"] == 0 else 2
 
 
-def _add_common(p, powers_default: str, powers_help: str):
+def _add_format(p):
     p.add_argument("--format", choices=["auto", "graph6", "rows"], default="auto")
-    p.add_argument("--mode", choices=["trace", "sortdiag"], default="sortdiag")
-    p.add_argument("--powers", default=powers_default, help=powers_help)
-    p.add_argument("--out", choices=["json", "table"], default="json")
+
+
+def _add_modulus(p):
     p.add_argument("--modulus", action="store_true",
                    help="dual-prime modular arithmetic (values become mod-reduced)")
+
+
+def _add_common(p, powers_default: str, powers_help: str):
+    _add_format(p)
+    p.add_argument("--mode", choices=[m.value for m in InvariantMode],
+                   default=InvariantMode.SORTED_DIAG.value)
+    p.add_argument("--powers", default=powers_default, help=powers_help)
+    p.add_argument("--out", choices=["json", "table"], default="json")
+    _add_modulus(p)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-srg", help="verify strong regularity, print v-k-lambda-mu")
     p.add_argument("files", nargs="*", help="graph files (stdin when omitted)")
-    p.add_argument("--format", choices=["auto", "graph6", "rows"], default="auto")
+    _add_format(p)
     p.set_defaults(func=cmd_check_srg)
 
     p = sub.add_parser("vertex-inv", help="neighborhood power invariants per vertex")
@@ -250,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run the ladder on a pair of graphs")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--format", choices=["auto", "graph6", "rows"], default="auto")
+    _add_format(p)
     p.add_argument("--ladder", default="default", help="'default' or a ladder JSON file")
-    p.add_argument("--modulus", action="store_true")
+    _add_modulus(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="family class counts over a dataset")
     p.add_argument("paths", nargs="*", help="dataset files or directories (stdin when omitted)")
-    p.add_argument("--format", choices=["auto", "graph6", "rows"], default="auto")
+    _add_format(p)
     p.add_argument("--ladder", default="default")
     p.add_argument("--out", choices=["json", "table"], default="table")
     p.add_argument("--jobs", type=int, default=1, help="families processed in parallel")
@@ -265,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process graphs failing the SRG check instead of rejecting")
     p.add_argument("--show-all", action="store_true",
                    help="print every stage count, not only changes")
-    p.add_argument("--modulus", action="store_true")
+    _add_modulus(p)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -410,7 +410,7 @@ def parse_graphs(text: str, fmt: str = "auto") -> list[Graph]:
 def srg_diagnosis(g: Graph) -> tuple[SrgParams | None, str | None]:
     """(params, None) when g is strongly regular, else (None, reason)."""
     if g.v < 2:
-        raise ValueError("SRG check needs at least 2 vertices")
+        return None, "fewer than 2 vertices"
     a = g.dense()
     deg = a.sum(axis=1, dtype=np.int64)
     k = int(deg[0])

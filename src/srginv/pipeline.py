@@ -1,4 +1,9 @@
-"""Dataset ingestion, the invariant escalation ladder, and family reports.
+"""Input reading, the invariant escalation ladder, and family reports.
+
+``read_graphs`` is the one reader of inputs: files, the files of a
+directory in name order, and ``-`` for stdin. Every subcommand reads
+through it, and it names the source in every read, decode or parse
+error. ``load_dataset`` is ``read_graphs`` plus the SRG check.
 
 Graphs sharing SRG parameters form a family; the ladder applies invariant
 stages in order, grouping graphs by their cumulative signature after each
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -381,41 +387,63 @@ def compare_pair(
 
 
 class DatasetError(ValueError):
-    """A dataset file failed parsing or the SRG check."""
+    """An input failed reading, parsing or the SRG check."""
 
 
-def _iter_sources(paths) -> list[Path]:
+def read_graphs(paths, fmt: str = "auto") -> list[tuple[str, int, Graph]]:
+    """Every graph of the inputs as (source, index in source, graph).
+
+    A path is a file, a directory (its files in name order) or ``-`` for
+    stdin, named ``<stdin>``. This is the one place that opens an input; a
+    read, decode or parse error raises a DatasetError naming its source.
+    """
     if isinstance(paths, (str, Path)):
         paths = [paths]
-    files: list[Path] = []
+    entries: list[tuple[str, int, Graph]] = []
     for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            files.extend(sorted(q for q in p.iterdir() if q.is_file()))
+        if p == "-":
+            readers = [("<stdin>", sys.stdin.read)]
+        elif Path(p).is_dir():
+            readers = [(str(q), q.read_text) for q in sorted(Path(p).iterdir()) if q.is_file()]
         else:
-            files.append(p)
-    return files
+            readers = [(str(p), Path(p).read_text)]
+        for source, read in readers:
+            try:
+                text = read()
+            except (OSError, UnicodeDecodeError) as e:
+                raise DatasetError(f"{source}: {e}") from None
+            entries.extend(_named_graphs(text, fmt, source))
+    return entries
+
+
+def _named_graphs(text: str, fmt: str, source: str) -> list[tuple[str, int, Graph]]:
+    try:
+        graphs = parse_graphs(text, fmt)
+    except GraphFormatError as e:
+        raise DatasetError(f"{source}: {e}") from None
+    return [(source, idx, g) for idx, g in enumerate(graphs)]
+
+
+def _srg_entries(named, allow_non_srg: bool) -> list[tuple[Graph, SrgParams | None]]:
+    entries = []
+    for source, idx, g in named:
+        params, reason = srg_diagnosis(g)
+        if reason is not None and not allow_non_srg:
+            raise DatasetError(f"{source}: graph {idx}: {reason}")
+        entries.append((g, params))
+    return entries
 
 
 def load_dataset(
     paths, fmt: str = "auto", *, allow_non_srg: bool = False
 ) -> list[tuple[Graph, SrgParams | None]]:
-    """Parse dataset files into (graph, params) entries.
+    """Read inputs with ``read_graphs`` into (graph, params) entries.
 
     Every graph must pass the SRG check unless allow_non_srg is set;
-    rejections name the file, the graph index within it, and the failed
+    rejections name the source, the graph index within it, and the failed
     condition.
     """
-    entries: list[tuple[Graph, SrgParams | None]] = []
-    for path in _iter_sources(paths):
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise DatasetError(f"{path}: {e}") from None
-        entries.extend(
-            load_dataset_text(text, fmt, allow_non_srg=allow_non_srg, source=str(path))
-        )
-    return entries
+    return _srg_entries(read_graphs(paths, fmt), allow_non_srg)
 
 
 def load_dataset_text(
@@ -425,17 +453,8 @@ def load_dataset_text(
     allow_non_srg: bool = False,
     source: str = "<input>",
 ) -> list[tuple[Graph, SrgParams | None]]:
-    try:
-        graphs = parse_graphs(text, fmt)
-    except GraphFormatError as e:
-        raise DatasetError(f"{source}: {e}") from None
-    entries = []
-    for idx, g in enumerate(graphs):
-        params, reason = srg_diagnosis(g)
-        if reason is not None and not allow_non_srg:
-            raise DatasetError(f"{source}: graph {idx}: {reason}")
-        entries.append((g, params))
-    return entries
+    """``load_dataset`` on text already in memory, named ``source``."""
+    return _srg_entries(_named_graphs(text, fmt, source), allow_non_srg)
 
 
 @dataclass

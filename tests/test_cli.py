@@ -1,4 +1,6 @@
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -186,9 +188,77 @@ def test_report_jobs_flag(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_missing_file_is_an_error(capsys):
+def test_missing_file_is_an_error(tmp_path, capsys):
     assert main(["check-srg", "/nonexistent/file.g6"]) == 1
     assert "error" in capsys.readouterr().err
+    # every subcommand names the file it could not read
+    missing = str(tmp_path / "missing.g6")
+    good = write(tmp_path, "p.g6", petersen_graph())
+    for argv in (
+        ["check-srg", missing],
+        ["vertex-inv", missing],
+        ["edge-inv", missing],
+        ["compare", missing, good],
+        ["compare", good, missing],
+        ["report", missing],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: {missing}: "), argv
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check-srg"],
+        ["vertex-inv", "--powers", "3,4"],
+        ["edge-inv", "--powers", "2,3"],
+        ["report", "--out", "json"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_every_input_form_gives_the_same_output(tmp_path, capsys, monkeypatch, command):
+    d = tmp_path / "fams"
+    d.mkdir()
+    f = write(d, "fam.g6", FX["rook4"], FX["shrikhande"], petersen_graph())
+
+    def run(*paths):
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(f).read_text()))
+        assert main([*command, *paths]) == 0
+        return capsys.readouterr().out
+
+    from_file = run(f)
+    assert run(str(d)) == from_file
+    from_stdin = run("-")
+    assert run() == from_stdin
+    assert from_stdin == from_file.replace(f, "<stdin>")
+
+
+def test_stdin_parse_error_names_stdin(capsys, monkeypatch):
+    for command in ("check-srg", "report"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(petersen_graph().to_graph6()[:5] + "\n"))
+        assert main([command]) == 1
+        assert capsys.readouterr().err == (
+            "error: <stdin>: line 0: byte 5: truncated record (4 data bytes, need 8)\n"
+        )
+
+
+def test_one_vertex_record(capsys, monkeypatch):
+    def run(*argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("@\n"))
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    assert run("check-srg") == (2, "<stdin>:0: not an SRG: fewer than 2 vertices\n", "")
+    assert run("report") == (1, "", "error: <stdin>: graph 0: fewer than 2 vertices\n")
+    code, out, _ = run("report", "--allow-non-srg", "--out", "json")
+    assert code == 0
+    (fam,) = json.loads(out)["families"]
+    assert fam["params"] == "1-nonsrg" and fam["classes"] == 1
+    code, out, _ = run("vertex-inv")
+    assert code == 0
+    (entry,) = json.loads(out)["graphs"]
+    assert entry["params"] is None and entry["partition"] == [[0]]
 
 
 def test_bad_powers_rejected(tmp_path, capsys):

@@ -83,8 +83,11 @@ def test_check_srg_degenerate():
 
 
 def test_check_srg_needs_two_vertices():
-    with pytest.raises(ValueError):
-        check_srg(Graph.from_edges(1, []))
+    # a negative answer with a reason, not an error, so a report can reject it
+    for v in (0, 1):
+        g = Graph.from_edges(v, [])
+        assert srg_diagnosis(g) == (None, "fewer than 2 vertices")
+        assert check_srg(g) is None
 
 
 def test_feasibility_identity():

@@ -1,5 +1,8 @@
+import gzip
+import io
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from srginv import pipeline
 from srginv.catalog import (
     chang_graphs,
     cycle_graph,
+    path_graph,
     petersen_graph,
     rook_graph,
     shrikhande_graph,
@@ -30,6 +34,7 @@ from srginv.pipeline import (
     group_families,
     load_dataset,
     load_dataset_text,
+    read_graphs,
 )
 from srginv.vertexinv import InvariantMode, vertex_signatures
 
@@ -363,6 +368,52 @@ def test_load_dataset_files(tmp_path):
     assert len(entries) == 3
     with pytest.raises(DatasetError):
         load_dataset([tmp_path / "missing.g6"])
+
+
+def test_read_graphs_reads_files_directories_and_stdin(tmp_path, monkeypatch):
+    d = tmp_path / "fams"
+    (d / "sub").mkdir(parents=True)
+    (d / "b.g6").write_text(FX["rook4"].to_graph6() + "\n" + FX["shrikhande"].to_graph6() + "\n")
+    (d / "a.g6").write_text(petersen_graph().to_graph6() + "\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(FX["t5"].to_graph6() + "\n"))
+    entries = read_graphs([d, "-", str(d / "a.g6")])
+    # a directory's files in name order; its subdirectories are skipped
+    assert [(src, idx) for src, idx, _ in entries] == [
+        (str(d / "a.g6"), 0),
+        (str(d / "b.g6"), 0),
+        (str(d / "b.g6"), 1),
+        ("<stdin>", 0),
+        (str(d / "a.g6"), 0),
+    ]
+    assert [g for _, _, g in entries] == [
+        petersen_graph(), FX["rook4"], FX["shrikhande"], FX["t5"], petersen_graph()
+    ]
+    # one path need not be wrapped in a list
+    assert read_graphs(str(d / "a.g6")) == entries[:1]
+
+
+def test_file_error_messages_name_the_file(tmp_path):
+    bad = tmp_path / "x.g6"
+    bad.write_text(petersen_graph().to_graph6()[:5] + "\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == f"{bad}: line 0: byte 5: truncated record (4 data bytes, need 8)"
+    bad.write_text(petersen_graph().to_graph6() + "\n" + path_graph(3).to_graph6() + "\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == f"{bad}: graph 1: not regular (degrees 1..2)"
+    missing = tmp_path / "missing.g6"
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(missing))}: .*No such file"):
+        read_graphs([missing])
+
+
+def test_undecodable_file_in_directory_names_it(tmp_path):
+    gz = tmp_path / "a.g6.gz"
+    gz.write_bytes(gzip.compress(petersen_graph().to_graph6().encode()))
+    (tmp_path / "b.g6").write_text(petersen_graph().to_graph6() + "\n")
+    for read in (read_graphs, load_dataset):
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(gz))}: .*can't decode"):
+            read([tmp_path])
 
 
 def test_dataset_report_fixture_families():
