@@ -4,7 +4,8 @@ Subcommands: check-srg, vertex-inv, edge-inv, compare, report. Input files
 are graph6 (one record per line) or raw 0/1 adjacency rows (blank-line
 separated blocks), auto-detected by default. Every subcommand reads its
 inputs through ``pipeline.read_graphs``: a file, a directory (its files in
-name order) or ``-`` for stdin, and stdin when no path is given.
+name order) or ``-`` for stdin, and stdin when no path is given;
+``compare - -`` reads its two graphs from stdin at once.
 
 Exit codes: 0 = success / all distinguished, 2 = negative verdict
 (non-SRG input, indistinguishable pair, unresolved pairs), 1 = usage or
@@ -51,11 +52,14 @@ def _load_ladder(choice: str) -> LadderConfig:
     return LadderConfig.from_json(Path(choice).read_text())
 
 
-def _read_single_graph(path: str, fmt: str) -> Graph:
+def _read_graphs_exactly(path: str, fmt: str, count: int) -> list[Graph]:
+    """The ``count`` graphs of one input; stdin is named ``<stdin>``."""
     entries = read_graphs([path], fmt)
-    if len(entries) != 1:
-        raise DatasetError(f"{path}: expected exactly one graph, found {len(entries)}")
-    return entries[0][2]
+    if len(entries) != count:
+        name = "<stdin>" if path == "-" else path
+        want = "one graph" if count == 1 else f"{count} graphs"
+        raise DatasetError(f"{name}: expected exactly {want}, found {len(entries)}")
+    return [g for _, _, g in entries]
 
 
 def _modulus(args) -> tuple[int, int] | None:
@@ -158,8 +162,11 @@ def cmd_edge_inv(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g1 = _read_single_graph(args.file_a, args.format)
-    g2 = _read_single_graph(args.file_b, args.format)
+    if args.file_a == args.file_b == "-":  # stdin can be read only once
+        g1, g2 = _read_graphs_exactly("-", args.format, 2)
+    else:
+        (g1,) = _read_graphs_exactly(args.file_a, args.format, 1)
+        (g2,) = _read_graphs_exactly(args.file_b, args.format, 1)
     verdict = compare_pair(g1, g2, _load_ladder(args.ladder), modulus=_modulus(args))
     print(verdict.describe())
     return 0 if verdict.distinguished else 2

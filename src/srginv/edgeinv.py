@@ -31,6 +31,7 @@ overflows, either way).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,19 @@ def build_bar_matrix(g: Graph) -> BarMatrix:
     return BarMatrix(np.stack((s + w, s - w)), undirected[np.nonzero(a)])
 
 
+# float64 storage for the bar base, B^2 and B^3, reused from one table to
+# the next (one set per thread), so that a table does not fault in fresh
+# pages for its powers; the tables themselves hold Python ints only
+_thread_buffers = threading.local()
+
+
+def _bar_buffers(shape: tuple[int, ...]) -> list[np.ndarray]:
+    bufs = getattr(_thread_buffers, "bufs", None)
+    if bufs is None or bufs[0].shape != shape:
+        bufs = _thread_buffers.bufs = [np.empty(shape) for _ in range(3)]
+    return bufs
+
+
 @dataclass(frozen=True)
 class BarPowerDiag:
     """Diagonal of one bar-matrix power: per directed edge, sorted, and trace."""
@@ -94,7 +108,7 @@ def bar_diag_table(
     bar = build_bar_matrix(g)
     if bar.is_empty:
         return {p: BarPowerDiag(p, (), (), 0) for p in powers}
-    cache = power_cache(bar.blocks, modulus)
+    cache = power_cache(bar.blocks, modulus, buffers=_bar_buffers(bar.blocks.shape))
     out = {}
     for p in powers:
         half, trace = cache.half_sum(p)

@@ -13,7 +13,12 @@ diagonal is their row dot product.
 One rule places every value, bounded by magnitude: a product or row dot
 product with bound ``inner * max|a| * max|b|`` <= 2**53 runs in float64
 (BLAS path), one <= 2**63 - 1 in int64, and a base is placed by its
-largest magnitude, so it is never rounded. Past int64 the modulus decides:
+largest magnitude, so it is never rounded. :class:`PowerCache` scans each
+power's magnitude once, when the power is formed, and hands it to every
+product and row dot that reads the power. A symmetric base (every bar
+block and neighbourhood stack is one) has symmetric powers, so a square
+runs as ``a @ a.T`` (BLAS syrk, half the flops) and a row dot reads its
+second operand untransposed. Past int64 the modulus decides:
 
 * exact mode (``modulus=None``): values become Python ints, and a
   half-power entry or diagonal value past the unsigned 64-bit range in
@@ -90,10 +95,12 @@ def _tier(bound: int, limits: tuple[int, int] | None = None):
     return object
 
 
-def _product_tier(a: np.ndarray, b: np.ndarray):
-    """The tier of ``a @ b`` and of its row dot products."""
-    amax = _entry_max(a)
-    return _tier(a.shape[-1] * amax * (amax if b is a else _entry_max(b)))
+def _product_tier(a: np.ndarray, b: np.ndarray, amax: int | None, bmax: int | None):
+    """The tier of ``a @ b`` and of its row dot products; a magnitude not
+    given is scanned."""
+    amax = _entry_max(a) if amax is None else amax
+    bmax = _entry_max(b) if bmax is None else bmax
+    return _tier(a.shape[-1] * amax * bmax)
 
 
 def _as(m: np.ndarray, dtype) -> np.ndarray:
@@ -132,28 +139,53 @@ def _row_sums(d: np.ndarray) -> np.ndarray:
     return d.sum(axis=-1)
 
 
-def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def checked_matmul(
+    a: np.ndarray,
+    b: np.ndarray,
+    *,
+    amax: int | None = None,
+    bmax: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Exact product of integer matrices (2-d or stacked 3-d).
 
     Raises MatrixOverflowError if any entry of the product would exceed
     U64_MAX in magnitude. The result dtype varies (float64 / int64 /
-    object) but the values are always exact integers.
+    object) but the values are always exact integers. ``amax`` and
+    ``bmax``, the largest magnitudes of ``a`` and ``b`` when the caller
+    knows them, spare a scan; a float64 product is written into ``out``
+    when it is given and has the product's shape.
     """
-    dtype = _product_tier(a, b)
-    return _check_u64(_as(a, dtype) @ _as(b, dtype), "entry")
+    dtype = _product_tier(a, b, amax, bmax)
+    a, b = _as(a, dtype), _as(b, dtype)
+    if dtype is np.float64 and out is not None and out.shape == a.shape[:-1] + b.shape[-1:]:
+        return np.matmul(a, b, out=out)
+    return _check_u64(a @ b, "entry")
 
 
-def checked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def checked_rowdot(
+    a: np.ndarray, b: np.ndarray, *, amax: int | None = None, bmax: int | None = None
+) -> np.ndarray:
     """Exact diagonal of ``a @ b`` without forming the product.
 
     ``out[..., i] = sum_j a[..., i, j] * b[..., j, i]`` for integer
-    matrices (2-d or stacked 3-d). The bound and the float64 / int64 /
-    object tiers are those of :func:`checked_matmul`; a diagonal value of
-    magnitude above U64_MAX raises MatrixOverflowError. The result is
-    int64, or object when the bound passes the int64 range.
+    matrices (2-d or stacked 3-d). The bound, the magnitudes and the
+    float64 / int64 / object tiers are those of :func:`checked_matmul`; a
+    diagonal value of magnitude above U64_MAX raises MatrixOverflowError.
+    The result is int64, or object when the bound passes the int64 range.
     """
-    dtype = _product_tier(a, b)
+    dtype = _product_tier(a, b, amax, bmax)
     return _diagonal_values(_rowdot(_as(a, dtype), _as(b, dtype)))
+
+
+def encode(x, modulus: tuple[int, int]):
+    """A value, or an array of them, as ``(x mod p1) * p2 + (x mod p2)``: a
+    bijection on ``[0, p1 * p2)``, in Python ints, as it would wrap in
+    int64."""
+    p1, p2 = modulus
+    if isinstance(x, np.ndarray):
+        x = _as(x, object)
+    return (x % p1) * p2 + x % p2
 
 
 class PowerCache:
@@ -166,10 +198,22 @@ class PowerCache:
     powers. Exact (m, k) diagonals and (m,) traces are int64, or object
     past int64; modular ones are object arrays of
     ``(x mod p1) * p2 + (x mod p2)``, so a trace still equals the encoded
-    sum of its true diagonal.
+    sum of its true diagonal. ``diag_residues`` and ``trace_residues`` are
+    the same values before that encoding, in ``[0, p1 * p2)``.
+
+    ``buffers`` are float64 arrays of the base's shape that the float64
+    base and powers are written into, as far as they last. ``power`` may
+    return one of them; no diagonal or trace is one, so a caller that
+    keeps only those may reuse the buffers once the cache is dropped.
     """
 
-    def __init__(self, base: np.ndarray, modulus: tuple[int, int] | None = None):
+    def __init__(
+        self,
+        base: np.ndarray,
+        modulus: tuple[int, int] | None = None,
+        *,
+        buffers=(),
+    ):
         base = np.asarray(base)
         if base.ndim != 3 or base.shape[-1] != base.shape[-2]:
             raise ValueError(f"expected a (m, k, k) stack, got shape {base.shape}")
@@ -179,36 +223,55 @@ class PowerCache:
                 raise ValueError(f"modulus must be two distinct primes > 1, got {modulus}")
             modulus = (int(p1), int(p2))
         self.modulus = modulus
-        self._pows = {1: self._lift(base)}
+        self._spare = list(buffers)
+        # every power of a symmetric base is symmetric, so b may stand for b.T
+        self._symmetric = np.array_equal(base, np.swapaxes(base, -1, -2))
+        self._pows: dict[int, np.ndarray] = {}
+        self._max: dict[int, int] = {}  # largest magnitude, scanned once per power
+        self._lift(base)
         self._diags: dict = {}
 
     def _reduced(self, m: np.ndarray) -> np.ndarray:
         p1, p2 = self.modulus
         return _as(m, object) % (p1 * p2)
 
-    def _lift(self, base: np.ndarray) -> np.ndarray:
-        dtype = _tier(_entry_max(base), _FORMAT_LIMITS)
+    def _lift(self, base: np.ndarray) -> None:
+        bound = _entry_max(base)
+        dtype = _tier(bound, _FORMAT_LIMITS)
         if dtype is object and self.modulus is not None:
-            return self._reduced(base)
-        return _as(base, dtype)
+            base = self._reduced(base)
+            bound = _entry_max(base)
+        elif dtype is np.float64 and self._spare and base.dtype != np.float64:
+            buf = self._spare.pop()
+            np.copyto(buf, base)
+            base = buf
+        self._pows[1], self._max[1] = _as(base, dtype), bound
 
-    def _combine(self, checked, raw, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``checked(a, b)`` on exact values; in modular mode past int64,
-        ``raw`` on Python ints, reduced mod ``p1 * p2``."""
-        if self.modulus is None or _product_tier(a, b) is not object:
-            return checked(a, b)
-        return self._reduced(raw(_as(a, object), _as(b, object)))
+    def _combine(self, checked, raw, i: int, j: int, **kwargs) -> np.ndarray:
+        """``checked`` on powers ``i`` and ``j`` with their magnitudes; in
+        modular mode past int64, ``raw`` on Python ints, reduced mod
+        ``p1 * p2``. On a symmetric base ``j`` is passed transposed, the
+        same matrix: a square then runs as BLAS syrk, and a row dot reads
+        ``j`` in place."""
+        a, b, amax, bmax = self._pows[i], self._pows[j], self._max[i], self._max[j]
+        if self._symmetric:
+            b = np.swapaxes(b, -1, -2)
+        if self.modulus is not None and _tier(a.shape[-1] * amax * bmax) is object:
+            return self._reduced(raw(_as(a, object), _as(b, object)))
+        return checked(a, b, amax=amax, bmax=bmax, **kwargs)
 
     def power(self, p: int) -> np.ndarray:
         if p < 1:
             raise ValueError(f"power must be >= 1, got {p}")
         got = self._pows.get(p)
         if got is None:
-            if p % 2 == 0:
-                a = b = self.power(p // 2)
-            else:
-                a, b = self.power(p - 1), self._pows[1]
-            got = self._pows[p] = self._combine(checked_matmul, np.matmul, a, b)
+            i = p // 2 if p % 2 == 0 else p - 1
+            self.power(i)
+            out = self._spare[-1] if self._spare else None
+            got = self._combine(checked_matmul, np.matmul, i, p - i, out=out)
+            if out is not None and got is out:
+                self._spare.pop()
+            self._pows[p], self._max[p] = got, _entry_max(got)
         return got
 
     def _diag(self, p: int) -> np.ndarray:
@@ -218,7 +281,8 @@ class PowerCache:
         if got is None:
             h = p // 2
             if h:
-                got = self._combine(checked_rowdot, _rowdot, self.power(h), self.power(p - h))
+                self.power(h), self.power(p - h)
+                got = self._combine(checked_rowdot, _rowdot, h, p - h)
             else:
                 got = np.diagonal(self._pows[1], axis1=-2, axis2=-1)
                 if self.modulus is None or got.dtype != object:  # reduced ones may pass u64
@@ -226,12 +290,27 @@ class PowerCache:
             self._diags[p] = got
         return got
 
-    def _report(self, x: np.ndarray) -> np.ndarray:
+    def _residues(self, x: np.ndarray) -> np.ndarray:
+        """Exact values as they are; modular ones in ``[0, p1 * p2)``."""
         if self.modulus is None:
             return x
-        p1, p2 = self.modulus
-        x = _as(x, object)  # Python ints: the encoding would wrap in int64
-        return (x % p1) * p2 + x % p2
+        n = self.modulus[0] * self.modulus[1]
+        if x.dtype == object or n <= _FORMAT_LIMITS[1]:
+            return x % n
+        return x if x.size == 0 or x.min() >= 0 else _as(x, object) % n
+
+    def _report(self, x: np.ndarray) -> np.ndarray:
+        return x if self.modulus is None else encode(x, self.modulus)
+
+    def diag_residues(self, p: int) -> np.ndarray:
+        """``diag_array(p)`` before the modular encoding. The encoding is a
+        bijection on ``[0, p1 * p2)``, so two of these are equal exactly
+        when their encoded values are."""
+        return self._residues(self._diag(p))
+
+    def trace_residues(self, p: int) -> np.ndarray:
+        """``trace_array(p)`` before the modular encoding."""
+        return self._residues(_row_sums(self._diag(p)))
 
     def diag_array(self, p: int) -> np.ndarray:
         return self._report(self._diag(p))
@@ -272,12 +351,16 @@ class ModularPowerCache(PowerCache):
     """A :class:`PowerCache` whose modulus defaults to DEFAULT_MODULUS; its
     own class so that ``bench/tracing.py`` times modular powers apart."""
 
-    def __init__(self, base: np.ndarray, modulus: tuple[int, int] = DEFAULT_MODULUS):
-        super().__init__(base, modulus)
+    def __init__(
+        self, base: np.ndarray, modulus: tuple[int, int] = DEFAULT_MODULUS, *, buffers=()
+    ):
+        super().__init__(base, modulus, buffers=buffers)
 
 
-def power_cache(base: np.ndarray, modulus: tuple[int, int] | None = None) -> PowerCache:
+def power_cache(
+    base: np.ndarray, modulus: tuple[int, int] | None = None, *, buffers=()
+) -> PowerCache:
     """Engine factory: exact checked arithmetic, or dual-prime modular."""
     if modulus is None:
-        return PowerCache(base)
-    return ModularPowerCache(base, modulus)
+        return PowerCache(base, buffers=buffers)
+    return ModularPowerCache(base, modulus, buffers=buffers)

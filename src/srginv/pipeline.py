@@ -31,12 +31,7 @@ from pathlib import Path
 from .edgeinv import BarPowerDiag, bar_diag_table
 from .graph import Graph, GraphFormatError, SrgParams, parse_graphs, srg_diagnosis
 from .matpow import DEFAULT_MODULUS, MatrixOverflowError, check_powers
-from .vertexinv import (
-    InvariantMode,
-    NeighborhoodPowerCache,
-    outblock_signature,
-    row_sort_key,
-)
+from .vertexinv import InvariantMode, NeighborhoodPowerCache, outblock_signature
 
 
 class StageKind(enum.Enum):
@@ -133,44 +128,45 @@ def default_ladder() -> LadderConfig:
 class _GraphState:
     """Per-graph invariant caches reused across ladder stages."""
 
-    __slots__ = ("graph", "modulus", "nbhd", "_edge")
+    __slots__ = ("graph", "modulus", "vertex_powers", "nbhd", "_edge")
 
-    def __init__(self, g: Graph, modulus: tuple[int, int] | None):
+    def __init__(self, g: Graph, modulus: tuple[int, int] | None, vertex_powers: tuple[int, ...]):
         self.graph = g
         self.modulus = modulus
+        self.vertex_powers = vertex_powers
         self.nbhd = NeighborhoodPowerCache(g, modulus)
         self._edge: dict[int, BarPowerDiag] = {}
 
-    def payload(self, stage: LadderStage) -> tuple:
-        """This graph's values under ``stage``: nested tuples of Python ints,
-        equal for two graphs exactly when the stage cannot separate them."""
+    def payload(self, stage: LadderStage):
+        """This graph's values under ``stage``, hashable and equal for two
+        graphs exactly when the stage cannot separate them."""
         powers, mode = stage.powers, stage.mode
+        if stage.kind is StageKind.EDGE:
+            missing = tuple(p for p in powers if p not in self._edge)
+            if missing:
+                self._edge.update(bar_diag_table(self.graph, missing, modulus=self.modulus))
+            if mode is InvariantMode.TRACE:
+                return tuple(self._edge[p].trace for p in powers)
+            return tuple(self._edge[p].sorted_values for p in powers)
+        # the first vertex stage computes its own powers; a graph that
+        # survives it gets every other vertex power of the ladder in one pass
+        self.nbhd.ensure(self.vertex_powers if self.nbhd.powers else powers)
         if stage.kind is StageKind.VERTEX:
-            return tuple(sorted(self.nbhd.signature_values(powers, mode), key=row_sort_key))
-        if stage.kind is StageKind.VERTEX_OUTBLOCK:
-            ob = outblock_signature(
-                self.graph, powers, mode, modulus=self.modulus, nbhd=self.nbhd
-            )
-            return (ob.refined, ob.base.rows, ob.tail.rows if ob.tail is not None else None)
-        missing = tuple(p for p in powers if p not in self._edge)
-        if missing:
-            self._edge.update(bar_diag_table(self.graph, missing, modulus=self.modulus))
-        if mode is InvariantMode.TRACE:
-            return tuple(self._edge[p].trace for p in powers)
-        return tuple(self._edge[p].sorted_values for p in powers)
+            return self.nbhd.signature(powers, mode)
+        ob = outblock_signature(self.graph, powers, mode, modulus=self.modulus, nbhd=self.nbhd)
+        return (ob.refined, ob.base, ob.tail)
 
-    def is_single_block(self, powers: tuple[int, ...]) -> bool:
-        """True when the sorted-diagonal invariants cannot split the vertices.
+    def is_single_block(self) -> bool:
+        """True when the sorted-diagonal invariants at the ladder's vertex
+        powers cannot split the vertices.
 
-        Adding powers only ever refines the partition, so the check can
-        stop at the first power that splits.
+        Adding powers only ever refines the partition, so the powers cached
+        so far are checked first and the rest computed only if they do not
+        split.
         """
-        for p in powers:
-            diag = self.nbhd.diag(p)
-            first = diag[0]
-            if any(row != first for row in diag):
-                return False
-        return True
+        return self.nbhd.single_block(self.nbhd.powers) and self.nbhd.single_block(
+            self.vertex_powers
+        )
 
 
 @dataclass(frozen=True)
@@ -264,15 +260,15 @@ def _walk_ladder(
     family: str,
 ) -> DistinguishReport:
     n = len(graphs)
-    states: list[_GraphState | None] = [_GraphState(g, modulus) for g in graphs]
     vertex_powers = ladder.vertex_powers()
+    states: list[_GraphState | None] = [_GraphState(g, modulus, vertex_powers) for g in graphs]
     single_flags = [False] * n
 
     def finalize(i: int) -> None:
         # a graph in its own class never computes another payload; grab the
         # single-block flag while its power caches are warm, then free them
         if vertex_powers:
-            single_flags[i] = states[i].is_single_block(vertex_powers)
+            single_flags[i] = states[i].is_single_block()
         states[i] = None
 
     # a lone graph is its own class before any stage runs
@@ -288,7 +284,7 @@ def _walk_ladder(
         new_groups: list[list[int]] = []
         for grp in groups:
             # payloads are the keys: hashed, then compared in full
-            seen: dict[tuple, list[int]] = {}
+            seen: dict[object, list[int]] = {}
             for i in grp:
                 seen.setdefault(states[i].payload(stage), []).append(i)
             for members in seen.values():

@@ -5,6 +5,15 @@ its neighborhood; the diagonal of its p-th power counts closed length-p
 walks that stay inside the neighborhood. Either the trace or the
 ascending-sorted diagonal is a relabeling invariant of the vertex; the
 lexicographically sorted list over all vertices is a graph invariant.
+
+All vertices are computed together. :class:`NeighborhoodPowerCache`
+gathers every neighborhood into one (v, kmax, kmax) stack, zero-padded to
+the largest degree kmax; a padded slot is an isolated vertex, so it adds
+zeros to the diagonals and nothing to traces or magnitudes. Each power's
+diagonals stay one (v, kmax) array, each row sorted with its padding
+after the real entries. A :class:`GraphSignature` is those arrays as one
+row-sorted table, compared as bytes; tuples of Python ints are built only
+where the API returns them.
 """
 
 from __future__ import annotations
@@ -15,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, power_cache
+from .matpow import check_powers, encode, power_cache
+
+_INT64_MAX = 2**63 - 1
 
 
 class InvariantMode(enum.Enum):
@@ -29,11 +40,114 @@ class VertexSignature:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GraphSignature:
-    """Per-vertex invariant vectors, lexicographically sorted ascending."""
+def row_sort_key(values: tuple[int, ...]):
+    # Different lengths only occur across different-degree vertices; compare
+    # by length first so the order is total.
+    return (len(values), values)
 
-    rows: tuple[tuple[int, ...], ...]
+
+def _fit(x: np.ndarray) -> np.ndarray:
+    """Non-negative values as int64 when every one fits, else as object:
+    the representation follows from the values, not from the tier."""
+    if x.dtype == object and (x.size == 0 or x.max() <= _INT64_MAX):
+        return x.astype(np.int64)
+    return x
+
+
+def _sorted_rows(table: np.ndarray) -> np.ndarray:
+    """The rows of a non-negative int64 table in lexicographic order.
+
+    Rows are sorted as big-endian byte records, whose byte order is the
+    numeric order for non-negative values (the order of ``np.lexsort``
+    over the columns) at a fraction of its cost.
+    """
+    if len(table) < 2:
+        return table
+    record = np.dtype((np.void, 8 * table.shape[1]))
+    records = np.ascontiguousarray(table, dtype=">i8").view(record).ravel()
+    return np.sort(records).view(">i8").reshape(table.shape)
+
+
+def _value_rows(table, mode: InvariantMode, npowers: int, modulus) -> list[tuple[int, ...]]:
+    """Table rows (see :class:`GraphSignature`) as the API's value tuples.
+
+    A SORTED_DIAG row drops its degree and padding; modular values are
+    encoded, and each diagonal sorted again, as the encoding is not
+    monotone.
+    """
+    rows = table.tolist() if isinstance(table, np.ndarray) else table
+    width = (len(rows[0]) - 1) // npowers if rows else 0
+    out = []
+    for row in rows:
+        if mode is InvariantMode.SORTED_DIAG:
+            segs = [row[1 + i * width : 1 + i * width + row[0]] for i in range(npowers)]
+        else:
+            segs = [row]
+        if modulus is not None:
+            segs = [[encode(x, modulus) for x in seg] for seg in segs]
+            if mode is InvariantMode.SORTED_DIAG:
+                segs = [sorted(seg) for seg in segs]
+        out.append(tuple(x for seg in segs for x in seg))
+    return out
+
+
+class GraphSignature:
+    """Per-vertex invariant vectors, lexicographically sorted ascending.
+
+    It holds one row-sorted table with a row per vertex. A SORTED_DIAG row
+    is the vertex's degree, then each power's sorted diagonal zero-padded
+    to the largest degree; a TRACE row is the traces. Values are exact,
+    or in modular mode residues mod ``p1 * p2``. The table is int64 when
+    every value fits, else a tuple of Python-int rows. Two signatures of
+    the same mode and modulus are equal exactly when their ``rows`` are,
+    and compare by table bytes; ``rows``, the value tuples the API
+    returns, are built on first use.
+    """
+
+    __slots__ = ("_key", "_table", "_layout", "_rows")
+
+    def __init__(self, table: np.ndarray, mode: InvariantMode, npowers: int, modulus):
+        if table.dtype == object:
+            self._table = tuple(sorted(map(tuple, table.tolist())))
+            body = self._table
+        else:
+            self._table = _sorted_rows(table)
+            body = (self._table.shape, self._table.tobytes())
+        self._layout = (mode, npowers, modulus)
+        self._key = (mode, modulus, body)
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(sorted(_value_rows(self._table, *self._layout), key=row_sort_key))
+        return self._rows
+
+    def _first_row(self):
+        """The table row of the smallest signature in ``rows`` order."""
+        mode, npowers, modulus = self._layout
+        table = self._table
+        # encoding is monotone below both primes; past them, compare encoded
+        if isinstance(table, np.ndarray):
+            top = table.max(initial=0)
+        else:
+            top = max(map(max, table), default=0)
+        if modulus is None or top < min(modulus):
+            return table[0]
+        rows = table.tolist() if isinstance(table, np.ndarray) else table
+        values = _value_rows(rows, mode, npowers, modulus)
+        return rows[min(range(len(rows)), key=lambda i: row_sort_key(values[i]))]
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphSignature):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"GraphSignature(rows={self.rows!r})"
 
 
 @dataclass(frozen=True)
@@ -64,68 +178,83 @@ class OutblockSignature:
     tail: GraphSignature | None
 
 
-def row_sort_key(values: tuple[int, ...]):
-    # Different lengths only occur across different-degree vertices; compare
-    # by length first so the order is total.
-    return (len(values), values)
-
-
 class NeighborhoodPowerCache:
-    """Per-vertex diagonals/traces of neighborhood powers, cached by power.
+    """Per-vertex diagonals and traces of neighborhood powers, cached by power.
 
-    Only the small diagonal tuples persist; matrices are dropped when
-    ``ensure`` returns, so this stays cheap enough to keep alive per graph
-    across the escalation ladder.
+    Per power it keeps the (v, kmax) sorted diagonals, padding zeroed, and
+    the (v,) traces: exact values, or in modular mode residues mod
+    ``p1 * p2`` before the encoding; int64 when every value fits. The
+    power engine and its matrices are dropped when ``ensure`` returns, so
+    this stays cheap enough to keep alive per graph across the ladder.
     """
 
     def __init__(self, g: Graph, modulus: tuple[int, int] | None = None):
         self.graph = g
         self.modulus = modulus
-        self._diag: dict[int, list[tuple[int, ...]]] = {}
-        self._trace: dict[int, list[int]] = {}
+        self.degrees = g.dense().sum(axis=1, dtype=np.int64)
+        self._diag: dict[int, np.ndarray] = {}
+        self._trace: dict[int, np.ndarray] = {}
+
+    @property
+    def powers(self) -> tuple[int, ...]:
+        """The powers computed so far, ascending."""
+        return tuple(sorted(self._diag))
 
     def ensure(self, powers) -> None:
         """Sorted diagonals and traces of (A|_{N_a})^p for every vertex, for
-        each power not cached yet.
-
-        Vertices are batched by degree, and each batch is gathered in one
-        step into a stacked matrix; a k-regular graph is a single (v, k, k)
-        stack.
-        """
+        each power not cached yet, from one padded (v, kmax, kmax) stack
+        gathered with a single flat take."""
         missing = sorted(set(powers) - self._diag.keys())
         if not missing:
             return
-        dense = self.graph.dense()
-        degrees = dense.sum(axis=1)
-        caches = []
-        for d in np.unique(degrees).tolist():
-            verts = np.flatnonzero(degrees == d)
-            nb = np.nonzero(dense[verts])[1].reshape(len(verts), d)
-            caches.append(power_cache(dense[nb[:, :, None], nb[:, None, :]], self.modulus))
-        # batches run in ascending degree; `back` puts their rows in vertex order
-        back = np.argsort(np.argsort(degrees, kind="stable")).tolist()
+        dense, deg, v = self.graph.dense(), self.degrees, self.graph.v
+        kmax = int(deg.max(initial=0))
+        real = np.arange(kmax) < deg[:, None]
+        # each vertex's neighbors ascending, then the isolated index v
+        nb = np.full((v, kmax), v)
+        nb[real] = np.nonzero(dense)[1]
+        stack = np.pad(dense, (0, 1)).ravel().take(nb[:, :, None] * (v + 1) + nb[:, None, :])
+        cache = power_cache(stack, self.modulus)
+        regular = real.all()
         for p in missing:
-            rows = [tuple(r) for c in caches for r in np.sort(c.diag_array(p), axis=1).tolist()]
-            traces = [t for c in caches for t in c.trace_array(p).tolist()]
-            self._diag[p] = [rows[i] for i in back]
-            self._trace[p] = [traces[i] for i in back]
+            d = cache.diag_residues(p)
+            if not regular:  # padding sorts after the real entries, then reads 0
+                d = np.where(real, d, d.max(initial=0))
+            d = np.sort(d, axis=1)
+            if not regular:
+                d[~real] = 0
+            self._diag[p] = _fit(d)
+            self._trace[p] = _fit(cache.trace_residues(p))
+
+    def _table(self, powers: tuple[int, ...], mode: InvariantMode) -> np.ndarray:
+        """The rows of :class:`GraphSignature`, in vertex order."""
+        self.ensure(powers)
+        if mode is InvariantMode.TRACE:
+            return np.stack([self._trace[p] for p in powers], axis=1)
+        return np.hstack([self.degrees[:, None], *(self._diag[p] for p in powers)])
+
+    def signature(self, powers: tuple[int, ...], mode: InvariantMode) -> GraphSignature:
+        return GraphSignature(self._table(powers, mode), mode, len(powers), self.modulus)
+
+    def single_block(self, powers) -> bool:
+        """True when every vertex has the same degree and the same sorted
+        diagonals at ``powers``."""
+        self.ensure(powers)
+        return all(
+            (x == x[:1]).all() for x in (self.degrees, *(self._diag[p] for p in powers))
+        )
 
     def diag(self, p: int) -> list[tuple[int, ...]]:
-        self.ensure((p,))
-        return self._diag[p]
+        return self.signature_values((p,), InvariantMode.SORTED_DIAG)
 
     def trace(self, p: int) -> list[int]:
-        self.ensure((p,))
-        return self._trace[p]
+        return [t for (t,) in self.signature_values((p,), InvariantMode.TRACE)]
 
     def signature_values(
         self, powers: tuple[int, ...], mode: InvariantMode
     ) -> list[tuple[int, ...]]:
         """Per-vertex concatenation across powers, in vertex order."""
-        self.ensure(powers)
-        if mode is InvariantMode.TRACE:
-            return list(zip(*(self._trace[p] for p in powers)))
-        return [sum(rows, ()) for rows in zip(*(self._diag[p] for p in powers))]
+        return _value_rows(self._table(powers, mode), mode, len(powers), self.modulus)
 
 
 def nbhd_power_diag(
@@ -156,8 +285,7 @@ def vertex_signatures(
     modulus: tuple[int, int] | None = None,
 ) -> list[VertexSignature]:
     powers = check_powers(powers)
-    cache = NeighborhoodPowerCache(g, modulus)
-    values = cache.signature_values(powers, mode)
+    values = NeighborhoodPowerCache(g, modulus).signature_values(powers, mode)
     return [VertexSignature(a, vals) for a, vals in enumerate(values)]
 
 
@@ -169,9 +297,7 @@ def graph_signature(
     modulus: tuple[int, int] | None = None,
 ) -> GraphSignature:
     """Lex-sorted vertex signatures; identical for isomorphic graphs."""
-    sigs = vertex_signatures(g, powers, mode, modulus=modulus)
-    rows = tuple(sorted((s.values for s in sigs), key=row_sort_key))
-    return GraphSignature(rows)
+    return NeighborhoodPowerCache(g, modulus).signature(check_powers(powers), mode)
 
 
 def partition_vertices(signatures) -> VertexPartition:
@@ -213,14 +339,17 @@ def outblock_signature(
         nbhd = NeighborhoodPowerCache(g, modulus)
     elif nbhd.graph != g or nbhd.modulus != modulus:
         raise ValueError("nbhd must be a cache of g under the same modulus")
-    values = nbhd.signature_values(powers, mode)
-    if not values:
+    table = nbhd._table(powers, mode)
+    if not len(table):
         raise ValueError("cannot partition an empty signature list")
-    base = GraphSignature(tuple(sorted(values, key=row_sort_key)))
-    first = base.rows[0]
-    if first == base.rows[-1]:
+    base = GraphSignature(table, mode, len(powers), modulus)
+    first = (table == np.array(base._first_row(), dtype=table.dtype)).all(axis=1)
+    if first.all():
         return OutblockSignature(base, False, (), None)
-    removed = tuple(a for a, vals in enumerate(values) if vals == first)
-    keep = tuple(a for a, vals in enumerate(values) if vals != first)
-    tail = graph_signature(g.induced_subgraph(keep), powers, mode, modulus=modulus)
-    return OutblockSignature(base, True, removed, tail)
+    tail = g.induced_subgraph(np.flatnonzero(~first).tolist())
+    return OutblockSignature(
+        base,
+        True,
+        tuple(np.flatnonzero(first).tolist()),
+        graph_signature(tail, powers, mode, modulus=modulus),
+    )

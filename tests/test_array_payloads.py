@@ -1,0 +1,108 @@
+"""The ladder's array payloads must split graphs exactly as tuples do.
+
+The vertex stages key each graph by its signature table as bytes, and the
+outblock stage finds its first block on that table. Here the tuple
+payloads are rebuilt from the public tuple API (``vertex_signatures``
+values, sorted with ``row_sort_key``), and over every pair of graphs the
+two payloads must agree on equality: under each forced arithmetic tier,
+exactly and in modular mode.
+"""
+
+import itertools
+import sys
+from pathlib import Path
+
+import pytest
+
+from srginv import matpow
+from srginv.catalog import chang_graphs, triangular_graph
+from srginv.isomorphism import random_relabel
+from srginv.matpow import DEFAULT_MODULUS
+from srginv.pipeline import LadderStage, StageKind, _GraphState
+from srginv.vertexinv import InvariantMode, outblock_signature, row_sort_key, vertex_signatures
+
+from helpers import TIERS, er_graph, srg_fixtures
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from latin import latin_graphs  # noqa: E402
+
+TRACE = InvariantMode.TRACE
+SD = InvariantMode.SORTED_DIAG
+
+STAGES = (
+    LadderStage(StageKind.VERTEX, TRACE, (3,)),
+    LadderStage(StageKind.VERTEX, TRACE, (3, 4, 5)),
+    LadderStage(StageKind.VERTEX, SD, (1, 2)),
+    LadderStage(StageKind.VERTEX, SD, (3,)),
+    LadderStage(StageKind.VERTEX, SD, (3, 4, 5)),
+    LadderStage(StageKind.VERTEX_OUTBLOCK, SD, (3, 4, 5)),
+    LadderStage(StageKind.VERTEX_OUTBLOCK, TRACE, (2, 3)),
+)
+VERTEX_POWERS = (1, 2, 3, 4, 5)
+
+
+def payload_graphs():
+    graphs = []
+    for g in srg_fixtures().values():
+        graphs += [g, random_relabel(g, 1)[0], random_relabel(g, 2)[0]]
+    # irregular, of 5..12 vertices, some of equal size
+    graphs += [er_graph(5 + seed % 8, 900 + seed, 0.3 + 0.05 * (seed % 8)) for seed in range(30)]
+    graphs += [triangular_graph(8), *chang_graphs()]
+    latin, _ = latin_graphs(6, 3, 11, paratopes=True)
+    return graphs + latin
+
+
+GRAPHS = payload_graphs()
+
+
+def values(g, powers, mode, modulus):
+    return [s.values for s in vertex_signatures(g, powers, mode, modulus=modulus)]
+
+
+def tuple_payload(g, stage, modulus):
+    """The stage's payload as nested tuples, from the public tuple API."""
+    vals = values(g, stage.powers, stage.mode, modulus)
+    base = tuple(sorted(vals, key=row_sort_key))
+    if stage.kind is StageKind.VERTEX:
+        return base
+    if base[0] == base[-1]:
+        return (False, base, None)
+    keep = [a for a, row in enumerate(vals) if row != base[0]]
+    tail = values(g.induced_subgraph(keep), stage.powers, stage.mode, modulus)
+    return (True, base, tuple(sorted(tail, key=row_sort_key)))
+
+
+@pytest.mark.parametrize(
+    "modulus", [None, DEFAULT_MODULUS, (5, 7)], ids=["exact", "modular", "5,7"]
+)
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_payload_equality_matches_the_tuples(tier, modulus, monkeypatch):
+    for name, value in TIERS[tier].items():
+        monkeypatch.setattr(matpow, name, value)
+    states = [_GraphState(g, modulus, VERTEX_POWERS) for g in GRAPHS]
+    for stage in STAGES:
+        new = [state.payload(stage) for state in states]
+        old = [tuple_payload(g, stage, modulus) for g in GRAPHS]
+        for i, j in itertools.combinations(range(len(GRAPHS)), 2):
+            assert (new[i] == new[j]) == (old[i] == old[j]), (stage.label(), i, j)
+        # the ladder groups payloads in a dict: hashing must agree too
+        assert len(set(new)) == len(set(old)), stage.label()
+
+
+def test_outblock_removes_the_first_block_by_encoded_order():
+    # under primes (3, 5), x encodes as (x mod 3) * 5 + x mod 5, so 1, 2
+    # and 3 encode as 6, 12 and 3: the diagonal (1, 2, 2, 3) is the
+    # smallest by value, but (2, 2, 3, 3) encodes as (3, 3, 12, 12), below
+    # the (3, 6, 12, 12) of the first
+    g, modulus = er_graph(7, 149, 0.5), (3, 5)
+    vals = values(g, (2,), SD, modulus)
+    first = min(vals, key=row_sort_key)
+    nb = outblock_signature(g, (2,), SD, modulus=modulus)
+    assert nb.refined
+    assert nb.removed == tuple(a for a, row in enumerate(vals) if row == first)
+    raw = [s.values for s in vertex_signatures(g, (2,), SD)]
+    assert first != vals[raw.index(min(raw, key=row_sort_key))]
+    assert nb.base.rows == tuple(sorted(vals, key=row_sort_key))
+    keep = [a for a, row in enumerate(vals) if row != first]
+    tail = values(g.induced_subgraph(keep), (2,), SD, modulus)
+    assert nb.tail.rows == tuple(sorted(tail, key=row_sort_key))

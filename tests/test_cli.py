@@ -132,7 +132,30 @@ def test_compare_requires_single_graph_files(tmp_path, capsys):
     fa = write(tmp_path, "a.g6", FX["rook4"], FX["shrikhande"])
     fb = write(tmp_path, "b.g6", FX["shrikhande"])
     assert main(["compare", fa, fb]) == 1
-    assert "exactly one graph" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {fa}: expected exactly one graph, found 2\n"
+
+
+@pytest.mark.parametrize("records", [0, 1, 3])
+def test_compare_both_from_stdin_needs_two_graphs(capsys, monkeypatch, records):
+    text = "".join(g.to_graph6() + "\n" for g in [petersen_graph()] * records)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["compare", "-", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: <stdin>: expected exactly 2 graphs, found {records}\n"
+
+
+def test_compare_reads_both_graphs_from_stdin(capsys, monkeypatch):
+    text = FX["rook4"].to_graph6() + "\n" + FX["shrikhande"].to_graph6() + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["compare", "-", "-"]) == 0
+    assert capsys.readouterr().out.startswith("distinguished: stage 1 ")
+
+
+def test_compare_names_stdin_in_errors(tmp_path, capsys, monkeypatch):
+    fb = write(tmp_path, "b.g6", FX["shrikhande"])
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["compare", "-", fb]) == 1
+    assert capsys.readouterr().err == "error: <stdin>: expected exactly one graph, found 0\n"
 
 
 def test_report_table(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from srginv import matpow
+from srginv import edgeinv, matpow
 from srginv.catalog import complete_graph, empty_graph, star_graph, triangular_graph
 from srginv.edgeinv import (
     bar_diag_table,
@@ -229,3 +231,45 @@ def test_exact_overflow_boundary_on_t8():
     assert bar_diag_table(g, (11,))[11].trace > 0
     with pytest.raises(MatrixOverflowError):
         bar_diag_table(g, (12,))
+
+
+def test_bar_tables_in_sequence_equal_fresh_tables(monkeypatch):
+    # Rook(4) and Shrikhande both have 48 edges: the second table reuses
+    # the float64 buffers the first one wrote its base and powers into
+    powers = (2, 3, 4, 5)
+    g1, g2 = FX["rook4"], FX["shrikhande"]
+
+    def fresh(g):
+        monkeypatch.setattr(edgeinv, "_thread_buffers", threading.local())
+        return bar_diag_table(g, powers)
+
+    want = [fresh(g1), fresh(g2)]
+    monkeypatch.setattr(edgeinv, "_thread_buffers", threading.local())
+    buffered = []
+    real = matpow.checked_matmul
+
+    def recording(a, b, **kwargs):
+        got = real(a, b, **kwargs)
+        buffered.append(got is kwargs.get("out") is not None)
+        return got
+
+    monkeypatch.setattr(matpow, "checked_matmul", recording)
+    got = [bar_diag_table(g1, powers)]
+    bufs = edgeinv._thread_buffers.bufs
+    got.append(bar_diag_table(g2, powers))
+    assert edgeinv._thread_buffers.bufs is bufs
+    assert buffered == [True, True] * 2
+    assert got == want
+    for table in got:  # Python ints only: nothing points into a buffer
+        for diag in table.values():
+            assert all(type(x) is int for x in (*diag.per_pair, *diag.sorted_values, diag.trace))
+
+
+@pytest.mark.parametrize("tier", ["int64", "object"])
+def test_bar_tables_without_float64_products(tier, monkeypatch):
+    powers = (2, 3, 4, 5)
+    graphs = (FX["rook4"], FX["shrikhande"], FX["petersen"])
+    want = [bar_diag_table(g, powers) for g in graphs]
+    for name, value in TIERS[tier].items():
+        monkeypatch.setattr(matpow, name, value)
+    assert [bar_diag_table(g, powers) for g in graphs] == want

@@ -1,3 +1,4 @@
+import collections
 import gzip
 import io
 import itertools
@@ -36,7 +37,7 @@ from srginv.pipeline import (
     load_dataset_text,
     read_graphs,
 )
-from srginv.vertexinv import InvariantMode, vertex_signatures
+from srginv.vertexinv import InvariantMode, outblock_signature, vertex_signatures
 
 from helpers import er_graph, fixture_graphs
 
@@ -155,6 +156,29 @@ def test_family_relabeled_pair_exhausts_ladder():
     assert report.pairs_requiring_edge == 1
     assert report.shared_vertex_invariant_graphs == 2
     assert all(r.classes == 1 for r in report.stages)
+
+
+@pytest.mark.parametrize("name", ["rook4", "irregular16"])
+def test_each_power_is_formed_once(name, matmul_calls):
+    g = rook_graph(4) if name == "rook4" else er_graph(16, 7, 0.4)
+    h, _ = random_relabel(g, 5)
+    ob = outblock_signature(g, range(3, 10), InvariantMode.SORTED_DIAG)
+    tail = g.induced_subgraph([a for a in range(g.v) if a not in ob.removed])
+    matmul_calls.clear()
+    report = distinguish_family([g, h])
+    assert len(report.stages) == 17 and report.final_classes == 1
+    kmax = max(g.degree(a) for a in range(g.v))
+    per_graph = {
+        # P2 for the first stage, then P2..P5 for powers 3..9 in one pass
+        (g.v, kmax, kmax): 5,
+        # B+- squared and cubed
+        (2, g.edge_count, g.edge_count): 2,
+    }
+    if ob.refined:  # the tail's P2..P5, in one pass
+        tk = max(tail.degree(a) for a in range(tail.v))
+        per_graph[(tail.v, tk, tk)] = 4
+    assert name == "rook4" or ob.refined
+    assert collections.Counter(matmul_calls) == {s: 2 * n for s, n in per_graph.items()}
 
 
 def test_family_cube_wagner_needs_edge_stage():
