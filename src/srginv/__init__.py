@@ -9,7 +9,6 @@ in order of cost until a pair of graphs is separated.
 from .graph import (
     Graph,
     GraphFormatError,
-    InfeasibleParametersError,
     SrgParams,
     check_srg,
     detect_format,
@@ -17,7 +16,6 @@ from .graph import (
     parse_graph6,
     parse_graphs,
     srg_diagnosis,
-    srg_eigenvalues,
     trace_power_signature,
     write_graph6,
 )

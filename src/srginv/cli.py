@@ -2,10 +2,11 @@
 
 Subcommands: check-srg, vertex-inv, edge-inv, compare, report. Input files
 are graph6 (one record per line) or raw 0/1 adjacency rows (blank-line
-separated blocks), auto-detected by default. Every subcommand reads its
-inputs through ``pipeline.read_graphs``: a file, a directory (its files in
-name order) or ``-`` for stdin, and stdin when no path is given;
-``compare - -`` reads its two graphs from stdin at once.
+separated blocks), told apart by their first non-blank character; there is
+no format option. Every subcommand reads its inputs through
+``pipeline.read_graphs``: a file, a directory (its files in name order) or
+``-`` for stdin, and stdin when no path is given; ``compare - -`` reads
+its two graphs from stdin at once.
 
 Exit codes: 0 = success / all distinguished, 2 = negative verdict
 (non-SRG input, indistinguishable pair, unresolved pairs), 1 = usage or
@@ -52,9 +53,9 @@ def _load_ladder(choice: str) -> LadderConfig:
     return LadderConfig.from_json(Path(choice).read_text())
 
 
-def _read_graphs_exactly(path: str, fmt: str, count: int) -> list[Graph]:
+def _read_graphs_exactly(path: str, count: int) -> list[Graph]:
     """The ``count`` graphs of one input; stdin is named ``<stdin>``."""
-    entries = read_graphs([path], fmt)
+    entries = read_graphs([path])
     if len(entries) != count:
         name = "<stdin>" if path == "-" else path
         want = "one graph" if count == 1 else f"{count} graphs"
@@ -68,7 +69,7 @@ def _modulus(args) -> tuple[int, int] | None:
 
 def cmd_check_srg(args) -> int:
     all_srg = True
-    for name, idx, g in read_graphs(args.files or ["-"], args.format):
+    for name, idx, g in read_graphs(args.files or ["-"]):
         params, reason = srg_diagnosis(g)
         if params is not None:
             note = ""
@@ -87,7 +88,7 @@ def cmd_vertex_inv(args) -> int:
     powers = _parse_powers(args.powers, 1)
     modulus = _modulus(args)
     out = []
-    for name, idx, g in read_graphs(args.files or ["-"], args.format):
+    for name, idx, g in read_graphs(args.files or ["-"]):
         sigs = vertex_signatures(g, powers, mode, modulus=modulus)
         part = partition_vertices(sigs)
         rows = sorted((s.values for s in sigs), key=row_sort_key)
@@ -124,7 +125,7 @@ def cmd_edge_inv(args) -> int:
     powers = _parse_powers(args.powers, 2)
     modulus = _modulus(args)
     out = []
-    for name, idx, g in read_graphs(args.files or ["-"], args.format):
+    for name, idx, g in read_graphs(args.files or ["-"]):
         table = bar_diag_table(g, powers, modulus=modulus)
         part = partition_edges(g, table[powers[-1]])
         values = {
@@ -163,10 +164,10 @@ def cmd_edge_inv(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.file_a == args.file_b == "-":  # stdin can be read only once
-        g1, g2 = _read_graphs_exactly("-", args.format, 2)
+        g1, g2 = _read_graphs_exactly("-", 2)
     else:
-        (g1,) = _read_graphs_exactly(args.file_a, args.format, 1)
-        (g2,) = _read_graphs_exactly(args.file_b, args.format, 1)
+        (g1,) = _read_graphs_exactly(args.file_a, 1)
+        (g2,) = _read_graphs_exactly(args.file_b, 1)
     verdict = compare_pair(g1, g2, _load_ladder(args.ladder), modulus=_modulus(args))
     print(verdict.describe())
     return 0 if verdict.distinguished else 2
@@ -175,7 +176,7 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     ladder = _load_ladder(args.ladder)
     modulus = _modulus(args)
-    entries = load_dataset(args.paths or ["-"], args.format, allow_non_srg=args.allow_non_srg)
+    entries = load_dataset(args.paths or ["-"], allow_non_srg=args.allow_non_srg)
     report = dataset_report(entries, ladder, modulus=modulus, jobs=args.jobs)
     if args.out == "json":
         print(report.to_json())
@@ -184,17 +185,12 @@ def cmd_report(args) -> int:
     return 0 if report.totals["unresolved_pairs"] == 0 else 2
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=["auto", "graph6", "rows"], default="auto")
-
-
 def _add_modulus(p):
     p.add_argument("--modulus", action="store_true",
                    help="dual-prime modular arithmetic (values become mod-reduced)")
 
 
 def _add_common(p, powers_default: str, powers_help: str):
-    _add_format(p)
     p.add_argument("--mode", choices=[m.value for m in InvariantMode],
                    default=InvariantMode.SORTED_DIAG.value)
     p.add_argument("--powers", default=powers_default, help=powers_help)
@@ -218,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-srg", help="verify strong regularity, print v-k-lambda-mu")
     p.add_argument("files", nargs="*", help="graph files (stdin when omitted)")
-    _add_format(p)
     p.set_defaults(func=cmd_check_srg)
 
     p = sub.add_parser("vertex-inv", help="neighborhood power invariants per vertex")
@@ -234,14 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run the ladder on a pair of graphs")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    _add_format(p)
     p.add_argument("--ladder", default="default", help="'default' or a ladder JSON file")
     _add_modulus(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="family class counts over a dataset")
     p.add_argument("paths", nargs="*", help="dataset files or directories (stdin when omitted)")
-    _add_format(p)
     p.add_argument("--ladder", default="default")
     p.add_argument("--out", choices=["json", "table"], default="table")
     p.add_argument("--jobs", type=int, default=1, help="families processed in parallel")

@@ -1,6 +1,10 @@
 """Graph representation, graph6 / adjacency-row parsing, and
 strongly-regular-graph checks.
 
+``parse_graphs`` takes the format from the text itself: a first
+non-blank ``0`` or ``1`` starts adjacency rows, anything else graph6,
+whose characters (and ``>>graph6<<`` header) can never be ``0`` or ``1``.
+
 Vertices are 0-based everywhere. A graph stores one bit row per vertex as
 an arbitrary-precision integer, so neighborhood intersection and the
 isomorphism search work on whole machine words; a dense numpy view is
@@ -9,9 +13,8 @@ derived lazily for the matrix-power kernels.
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,14 +25,12 @@ from .matpow import power_cache
 MAX_VERTICES = 1 << 18
 
 GRAPH6_HEADER = ">>graph6<<"
+_NOT_GRAPH6 = re.compile("[^?-~]")  # any character outside 63..126
+_SIX_BITS = bytes((c - 63) % 256 for c in range(256))  # graph6 byte -> 6-bit value
 
 
 class GraphFormatError(ValueError):
     """Malformed graph6 record or adjacency-row block."""
-
-
-class InfeasibleParametersError(ValueError):
-    """SRG parameters with a negative eigenvalue discriminant."""
 
 
 @dataclass(frozen=True)
@@ -208,36 +209,35 @@ class Graph:
 # graph6
 
 
-def _graph6_char(text: str, i: int, base_offset: int) -> int:
-    c = ord(text[i])
-    if not 63 <= c <= 126:
+def _graph6_values(s: str, lo: int, hi: int, base: int) -> bytes:
+    """The 6-bit values of ``s[lo:hi]``, one byte each.
+
+    The first character outside 63..126 (non-ASCII and lone surrogates
+    included) raises, named by its byte offset; ``s`` starts at ``base``.
+    """
+    bad = _NOT_GRAPH6.search(s, lo, hi)
+    if bad:
+        i = bad.start()
         raise GraphFormatError(
-            f"byte {base_offset + i}: character {text[i]!r} outside graph6 range 63..126"
+            f"byte {base + i}: character {s[i]!r} outside graph6 range 63..126"
         )
-    return c - 63
+    return s[lo:hi].encode("ascii").translate(_SIX_BITS)
 
 
 def _decode_graph6_size(s: str, base: int) -> tuple[int, int]:
     """Vertex count and index of the first data character."""
-    c0 = _graph6_char(s, 0, base)
+    c0 = _graph6_values(s, 0, 1, base)[0]
     if c0 < 63:
         return c0, 1
-    # '~' prefix: 18-bit form, '~~' prefix: 36-bit form
-    if len(s) < 2:
-        raise GraphFormatError(f"byte {base}: truncated graph6 size header")
-    if s[1] != "~":
-        if len(s) < 4:
-            raise GraphFormatError(f"byte {base}: truncated graph6 size header")
-        n = 0
-        for i in range(1, 4):
-            n = (n << 6) | _graph6_char(s, i, base)
-        return n, 4
-    if len(s) < 8:
+    # '~' prefix: 18-bit form in bytes 1..3, '~~' prefix: 36-bit form in bytes 2..7
+    head = 2 if s[1:2] == "~" else 1
+    start = 4 * head
+    if len(s) < start:
         raise GraphFormatError(f"byte {base}: truncated graph6 size header")
     n = 0
-    for i in range(2, 8):
-        n = (n << 6) | _graph6_char(s, i, base)
-    return n, 8
+    for x in _graph6_values(s, head, start, base):
+        n = (n << 6) | x
+    return n, start
 
 
 def parse_graph6(text: str) -> Graph:
@@ -275,24 +275,8 @@ def parse_graph6(text: str) -> Graph:
             f"byte {base + start + ndata}: unexpected trailing characters"
         )
 
-    if ndata:
-        try:
-            raw = data.encode("ascii")
-        except UnicodeEncodeError as e:
-            raise GraphFormatError(
-                f"byte {base + start + e.start}: character {data[e.start]!r} "
-                "outside graph6 range 63..126"
-            ) from None
-        vals = np.frombuffer(raw, dtype=np.uint8)
-        lo, hi = int(vals.min()), int(vals.max())
-        if lo < 63 or hi > 126:
-            bad = int(np.argmax((vals < 63) | (vals > 126)))
-            raise GraphFormatError(
-                f"byte {base + start + bad}: character {data[bad]!r} outside graph6 range 63..126"
-            )
-        bits = np.unpackbits((vals - 63)[:, None], axis=1)[:, 2:].ravel()
-    else:
-        bits = np.zeros(0, dtype=np.uint8)
+    vals = np.frombuffer(_graph6_values(s, start, len(s), base), dtype=np.uint8)
+    bits = np.unpackbits(vals[:, None], axis=1)[:, 2:].ravel()
 
     tail = bits[need:]
     if tail.any():
@@ -383,14 +367,10 @@ def detect_format(text: str) -> str:
     return "graph6"
 
 
-def parse_graphs(text: str, fmt: str = "auto") -> list[Graph]:
-    """Parse a whole file worth of graphs in either supported format."""
-    if fmt == "auto":
-        fmt = detect_format(text)
-    if fmt == "rows":
+def parse_graphs(text: str) -> list[Graph]:
+    """Parse a whole file worth of graphs in the format ``detect_format`` reads."""
+    if detect_format(text) == "rows":
         return parse_adjacency_rows(text)
-    if fmt != "graph6":
-        raise ValueError(f"unknown format {fmt!r} (expected auto, graph6 or rows)")
     graphs = []
     for ln, raw in enumerate(text.splitlines()):
         line = raw.strip()
@@ -445,26 +425,6 @@ def check_srg(g: Graph) -> SrgParams | None:
     """
     params, _ = srg_diagnosis(g)
     return params
-
-
-def srg_eigenvalues(p: SrgParams):
-    """The two non-trivial eigenvalues ((λ-μ) ± sqrt(D)) / 2.
-
-    Exact Fractions when the discriminant D = (λ-μ)^2 + 4(k-μ) is a
-    perfect square, floats otherwise.
-    """
-    if p.lam is None or p.mu is None:
-        raise ValueError(f"eigenvalues undefined for degenerate parameters {p.key()}")
-    d = (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
-    if d < 0:
-        raise InfeasibleParametersError(
-            f"parameters {p.key()} have negative discriminant {d}"
-        )
-    root = math.isqrt(d)
-    if root * root == d:
-        return (Fraction(p.lam - p.mu + root, 2), Fraction(p.lam - p.mu - root, 2))
-    s = math.sqrt(d)
-    return ((p.lam - p.mu + s) / 2.0, (p.lam - p.mu - s) / 2.0)
 
 
 def trace_power_signature(

@@ -35,6 +35,7 @@ second operand untransposed. Past int64 the modulus decides:
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -219,7 +220,7 @@ class PowerCache:
             raise ValueError(f"expected a (m, k, k) stack, got shape {base.shape}")
         if modulus is not None:
             p1, p2 = modulus
-            if p1 <= 1 or p2 <= 1 or p1 == p2:
+            if p1 <= 1 or p2 <= 1 or math.gcd(p1, p2) != 1:
                 raise ValueError(f"modulus must be two distinct primes > 1, got {modulus}")
             modulus = (int(p1), int(p2))
         self.modulus = modulus

@@ -1,9 +1,10 @@
 """Input reading, the invariant escalation ladder, and family reports.
 
 ``read_graphs`` is the one reader of inputs: files, the files of a
-directory in name order, and ``-`` for stdin. Every subcommand reads
-through it, and it names the source in every read, decode or parse
-error. ``load_dataset`` is ``read_graphs`` plus the SRG check.
+directory in name order, and ``-`` for stdin, each in the format
+``detect_format`` reads from its text. Every subcommand reads through it,
+and it names the source in every read, decode or parse error.
+``load_dataset`` is ``read_graphs`` plus the SRG check.
 
 Graphs sharing SRG parameters form a family; the ladder applies invariant
 stages in order, grouping graphs by their cumulative signature after each
@@ -386,7 +387,7 @@ class DatasetError(ValueError):
     """An input failed reading, parsing or the SRG check."""
 
 
-def read_graphs(paths, fmt: str = "auto") -> list[tuple[str, int, Graph]]:
+def read_graphs(paths) -> list[tuple[str, int, Graph]]:
     """Every graph of the inputs as (source, index in source, graph).
 
     A path is a file, a directory (its files in name order) or ``-`` for
@@ -408,13 +409,13 @@ def read_graphs(paths, fmt: str = "auto") -> list[tuple[str, int, Graph]]:
                 text = read()
             except (OSError, UnicodeDecodeError) as e:
                 raise DatasetError(f"{source}: {e}") from None
-            entries.extend(_named_graphs(text, fmt, source))
+            entries.extend(_named_graphs(text, source))
     return entries
 
 
-def _named_graphs(text: str, fmt: str, source: str) -> list[tuple[str, int, Graph]]:
+def _named_graphs(text: str, source: str) -> list[tuple[str, int, Graph]]:
     try:
-        graphs = parse_graphs(text, fmt)
+        graphs = parse_graphs(text)
     except GraphFormatError as e:
         raise DatasetError(f"{source}: {e}") from None
     return [(source, idx, g) for idx, g in enumerate(graphs)]
@@ -430,27 +431,24 @@ def _srg_entries(named, allow_non_srg: bool) -> list[tuple[Graph, SrgParams | No
     return entries
 
 
-def load_dataset(
-    paths, fmt: str = "auto", *, allow_non_srg: bool = False
-) -> list[tuple[Graph, SrgParams | None]]:
+def load_dataset(paths, *, allow_non_srg: bool = False) -> list[tuple[Graph, SrgParams | None]]:
     """Read inputs with ``read_graphs`` into (graph, params) entries.
 
     Every graph must pass the SRG check unless allow_non_srg is set;
     rejections name the source, the graph index within it, and the failed
     condition.
     """
-    return _srg_entries(read_graphs(paths, fmt), allow_non_srg)
+    return _srg_entries(read_graphs(paths), allow_non_srg)
 
 
 def load_dataset_text(
     text: str,
-    fmt: str = "auto",
     *,
     allow_non_srg: bool = False,
     source: str = "<input>",
 ) -> list[tuple[Graph, SrgParams | None]]:
     """``load_dataset`` on text already in memory, named ``source``."""
-    return _srg_entries(_named_graphs(text, fmt, source), allow_non_srg)
+    return _srg_entries(_named_graphs(text, source), allow_non_srg)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from srginv.catalog import (
 )
 from srginv.cli import main
 from srginv.isomorphism import random_relabel
+from srginv.matpow import DEFAULT_MODULUS
 
 from helpers import fixture_graphs
 
@@ -90,6 +91,12 @@ def test_vertex_inv_computes_signatures_once(tmp_path, capsys, matmul_calls):
     assert main(["vertex-inv", f, "--powers", "3"]) == 0
     capsys.readouterr()
     assert len(matmul_calls) == 1  # P^2 of the neighbourhood stack
+
+
+def test_edge_inv_table_output(tmp_path, capsys):
+    f = write(tmp_path, "k3.g6", complete_graph(3))
+    assert main(["edge-inv", f, "--mode", "trace", "--powers", "2,3", "--out", "table"]) == 0
+    assert capsys.readouterr().out == f"{f}:0  directed edges=6\n  p=2: 18\n  p=3: 12\n"
 
 
 def test_edge_inv_computes_bar_powers_once(tmp_path, capsys, matmul_calls):
@@ -179,6 +186,13 @@ def test_report_json_schema(tmp_path, capsys):
     assert fam["stages"][0]["classes"] == 2
 
 
+def test_report_table_names_the_modulus(tmp_path, capsys):
+    f = write(tmp_path, "fam.g6", FX["rook4"], FX["shrikhande"])
+    assert main(["report", f, "--modulus", "--out", "table"]) == 0
+    p1, p2 = DEFAULT_MODULUS
+    assert capsys.readouterr().out.endswith(f"values are mod-reduced (primes {p1}, {p2})\n")
+
+
 def test_report_unresolved_exit_code(tmp_path, capsys):
     g = FX["t5"]
     h, _ = random_relabel(g, 13)
@@ -197,10 +211,16 @@ def test_report_rows_format(tmp_path, capsys):
     k3 = complete_graph(3)
     f = tmp_path / "k3.rows"
     f.write_text("011\n101\n110\n")
-    assert main(["check-srg", str(f), "--format", "rows"]) == 0
+    assert main(["check-srg", str(f)]) == 0
     assert "3-2-1-*" in capsys.readouterr().out
-    assert main(["check-srg", str(f), "--format", "auto"]) == 0
-    capsys.readouterr()
+
+
+def test_format_option_is_gone(tmp_path, capsys):
+    f = write(tmp_path, "p.g6", petersen_graph())
+    with pytest.raises(SystemExit) as exc:
+        main(["check-srg", f, "--format", "graph6"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --format graph6" in capsys.readouterr().err
 
 
 def test_report_jobs_flag(tmp_path, capsys):
@@ -288,6 +308,12 @@ def test_bad_powers_rejected(tmp_path, capsys):
     f = write(tmp_path, "p.g6", petersen_graph())
     assert main(["vertex-inv", f, "--powers", "4,3"]) == 1
     assert "ascending" in capsys.readouterr().err
+
+
+def test_non_integer_power_list_rejected(tmp_path, capsys):
+    f = write(tmp_path, "p.g6", petersen_graph())
+    assert main(["vertex-inv", f, "--powers", "3,x"]) == 1
+    assert capsys.readouterr().err == "error: bad power list '3,x' (expected e.g. 3,4)\n"
 
 
 def test_malformed_ladder_file(tmp_path, capsys):

@@ -106,6 +106,42 @@ def test_zero_vertices_rejected():
         parse_graph6("?")
 
 
+def _outside(offset, ch):
+    return f"byte {offset}: character {ch!r} outside graph6 range 63..126"
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("", "empty graph6 record"),
+        (":Bw", "byte 0: sparse6 records are not supported"),
+        ("&Bw", "byte 0: digraph6 records are not supported"),
+        ("\x7fw", _outside(0, "\x7f")),
+        (" B!", _outside(2, "!")),
+        ("Bé", _outside(1, "é")),
+        ("B\udcff", _outside(1, "\udcff")),  # a lone surrogate, as stdin can carry
+        ("~", "byte 0: truncated graph6 size header"),
+        ("~?", "byte 0: truncated graph6 size header"),
+        ("~~??", "byte 0: truncated graph6 size header"),
+        ("~?!?", _outside(2, "!")),
+        ("~?é?", _outside(2, "é")),
+        ("~~~~~~~~", "byte 0: vertex count 68719476735 exceeds 262144"),
+        ("?", "byte 0: record encodes an empty vertex set"),
+        ("Bx", "byte 1: nonzero padding bits at end of record"),
+        ("B!x", "byte 2: unexpected trailing characters"),
+        ("Bww", "byte 2: unexpected trailing characters"),
+        ("C", "byte 1: truncated record (0 data bytes, need 1)"),
+        ("C!", _outside(1, "!")),
+        ("~??~", "byte 4: truncated record (0 data bytes, need 326)"),
+        ("D!é", _outside(1, "!")),  # the first bad character, ASCII or not
+    ],
+)
+def test_error_messages(record, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph6(record)
+    assert str(exc.value) == message
+
+
 def test_long_size_header_roundtrip():
     g = er_graph(63, 17, p=0.1)
     rec = g.to_graph6()
@@ -176,11 +212,6 @@ def test_parse_graphs_multi_record():
 def test_parse_graphs_reports_line():
     with pytest.raises(GraphFormatError, match="line 1"):
         parse_graphs("Bw\nB\n")
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(ValueError, match="unknown format"):
-        parse_graphs("Bw", fmt="dimacs")
 
 
 def test_graph_validation():

@@ -1,16 +1,12 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from srginv.catalog import complete_graph, cycle_graph, empty_graph, path_graph
 from srginv.graph import (
     Graph,
-    InfeasibleParametersError,
     SrgParams,
     check_srg,
     srg_diagnosis,
-    srg_eigenvalues,
     trace_power_signature,
 )
 from srginv.isomorphism import random_relabel
@@ -114,42 +110,6 @@ def test_matrix_identity_entrywise():
         i = np.eye(g.v, dtype=np.int64)
         resid = a @ a - (p.lam - p.mu) * a - (p.k - p.mu) * i - p.mu * j
         assert not resid.any(), name
-
-
-def test_srg_eigenvalues_exact():
-    r, s = srg_eigenvalues(SrgParams(16, 6, 2, 2))
-    assert (r, s) == (2, -2)
-    assert isinstance(r, Fraction)
-    r, s = srg_eigenvalues(SrgParams(10, 3, 0, 1))
-    assert (r, s) == (1, -2)
-
-
-def test_srg_eigenvalues_irrational():
-    r, s = srg_eigenvalues(SrgParams(5, 2, 0, 1))
-    assert abs(r - (-1 + 5**0.5) / 2) < 1e-12 * abs(r)
-    assert abs(s - (-1 - 5**0.5) / 2) < 1e-12 * abs(s)
-
-
-def test_srg_eigenvalues_infeasible():
-    with pytest.raises(InfeasibleParametersError):
-        srg_eigenvalues(SrgParams(10, 3, 3, 4))
-
-
-def test_srg_eigenvalues_degenerate_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        srg_eigenvalues(SrgParams(3, 2, 1, None))
-
-
-def test_eigenvalue_formula_against_spectrum():
-    for name, g in srg_fixtures().items():
-        p = check_srg(g)
-        r, s = srg_eigenvalues(p)
-        eig = sorted(np.linalg.eigvalsh(g.dense().astype(float)))
-        uniq = sorted({round(x, 6) for x in eig})
-        assert len(uniq) == 3, name
-        assert abs(uniq[0] - float(s)) < 1e-6, name
-        assert abs(uniq[1] - float(r)) < 1e-6, name
-        assert uniq[2] == p.k, name
 
 
 def test_trace_power_signature_examples():

@@ -12,7 +12,12 @@ from srginv.isomorphism import (
     count_closed_walks,
     random_relabel,
 )
-from srginv.vertexinv import InvariantMode, partition_vertices, vertex_signatures
+from srginv.vertexinv import (
+    InvariantMode,
+    VertexPartition,
+    partition_vertices,
+    vertex_signatures,
+)
 
 from helpers import er_graph, fixture_graphs
 
@@ -116,6 +121,22 @@ def test_blocks_argument():
     )
     with pytest.raises(ValueError, match="block"):
         are_isomorphic(g, h, blocks=(p1, bad))
+    halves = VertexPartition(((0, 1, 2), (3, 4, 5)), ())
+    with pytest.raises(ValueError, match="mismatched block sizes"):
+        are_isomorphic(g, h, blocks=(p1, halves))
+
+
+def test_one_block_search_is_exhaustive():
+    # no invariant cuts the search: only the full backtracking decides
+    rook = FX["rook4"]
+    one = VertexPartition((tuple(range(16)),), ())
+    res = are_isomorphic(rook, FX["shrikhande"], blocks=(one, one))
+    assert res.status == NON_ISOMORPHIC and res.witness is None
+    assert res.nodes == 304
+    h, _ = random_relabel(rook, 11)
+    res = are_isomorphic(rook, h, blocks=(one, one))
+    assert res.status == ISOMORPHIC
+    assert apply_permutation(rook, res.witness) == h
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -176,6 +176,8 @@ def test_invalid_powers_rejected():
     cache = PowerCache(np.ones((1, 2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         cache.power(0)
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        cache.diag_array(0)
     with pytest.raises(ValueError):
         PowerCache(np.ones((2, 2), dtype=np.uint8))
 
@@ -289,6 +291,16 @@ def test_half_sum_needs_two_matrices_and_odd_primes():
         PowerCache(random_01_stack(3, 4, 1)).half_sum(2)
     with pytest.raises(ValueError):
         PowerCache(random_01_stack(2, 4, 1), (2, 3)).half_sum(2)
+
+
+def test_modulus_parts_must_be_coprime():
+    stack = random_01_stack(1, 3, 0)
+    # (4, 6) would encode 0 and 12 alike: 12 = 0 mod 4 and mod 6
+    for modulus in [(4, 4), (1, 5), (4, 6)]:
+        with pytest.raises(ValueError, match="two distinct primes"):
+            PowerCache(stack, modulus)
+    for modulus in [(5, 7), DEFAULT_MODULUS]:
+        assert PowerCache(stack, modulus).modulus == modulus
 
 
 SWITCH_BASES = {
