@@ -27,6 +27,11 @@ they bound the entries of ``B^h`` in magnitude and are at most twice as
 large: an overflow error comes whenever powering ``B`` gives one, and at
 most one bit of range earlier (on T(8), edge power 11 is exact and 12
 overflows, either way).
+
+Both orientations of an edge share its diagonal value, so a table keeps
+per power only the |E| values of the undirected edges, as an array (int64
+when every value fits), with the map from directed to undirected edges;
+the per-directed-edge tuples the API returns are built when read.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, power_cache
+from .matpow import check_powers, fit_int64, power_cache
 from .vertexinv import InvariantMode
 
 
@@ -79,7 +84,7 @@ def build_bar_matrix(g: Graph) -> BarMatrix:
 
 # float64 storage for the bar base, B^2 and B^3, reused from one table to
 # the next (one set per thread), so that a table does not fault in fresh
-# pages for its powers; the tables themselves hold Python ints only
+# pages for its powers; no table array points into them
 _thread_buffers = threading.local()
 
 
@@ -90,14 +95,44 @@ def _bar_buffers(shape: tuple[int, ...]) -> list[np.ndarray]:
     return bufs
 
 
-@dataclass(frozen=True)
 class BarPowerDiag:
-    """Diagonal of one bar-matrix power: per directed edge, sorted, and trace."""
+    """Diagonal of one bar-matrix power, and its trace.
 
-    power: int
-    per_pair: tuple[int, ...]
-    sorted_values: tuple[int, ...]
-    trace: int
+    ``values`` holds one value per undirected edge ``e = (a<b)``, in
+    lexicographic order, as both orientations of an edge share it: int64
+    when every value fits, else an object array of Python ints (exact
+    values past int64, or modular encodings). ``edge_of`` maps each
+    directed edge to its undirected index. ``per_pair`` (per directed
+    edge, in row-major order of the adjacency) and ``sorted_values`` are
+    tuples built on each read; the trace is a Python int.
+    """
+
+    __slots__ = ("power", "values", "edge_of", "trace")
+
+    def __init__(self, power: int, values: np.ndarray, edge_of: np.ndarray, trace: int):
+        self.power = power
+        self.values = values
+        self.edge_of = edge_of
+        self.trace = trace
+
+    @property
+    def per_pair(self) -> tuple[int, ...]:
+        return tuple(self.values[self.edge_of].tolist())
+
+    @property
+    def sorted_values(self) -> tuple[int, ...]:
+        return tuple(np.sort(self.values[self.edge_of]).tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, BarPowerDiag):
+            return NotImplemented
+        return (self.power, self.trace, self.per_pair) == (other.power, other.trace, other.per_pair)
+
+    def __hash__(self) -> int:
+        return hash((self.power, self.trace))
+
+    def __repr__(self) -> str:
+        return f"BarPowerDiag(power={self.power}, per_pair={self.per_pair}, trace={self.trace})"
 
 
 def bar_diag_table(
@@ -107,13 +142,12 @@ def bar_diag_table(
     powers = check_powers(powers, minimum=2)
     bar = build_bar_matrix(g)
     if bar.is_empty:
-        return {p: BarPowerDiag(p, (), (), 0) for p in powers}
+        return {p: BarPowerDiag(p, np.zeros(0, np.int64), bar.edge_of, 0) for p in powers}
     cache = power_cache(bar.blocks, modulus, buffers=_bar_buffers(bar.blocks.shape))
     out = {}
     for p in powers:
         half, trace = cache.half_sum(p)
-        diag = half[bar.edge_of]
-        out[p] = BarPowerDiag(p, tuple(diag.tolist()), tuple(np.sort(diag).tolist()), trace)
+        out[p] = BarPowerDiag(p, fit_int64(half), bar.edge_of, trace)
     return out
 
 

@@ -319,12 +319,13 @@ def write_graph6(g: Graph) -> str:
 def parse_adjacency_rows(text: str) -> list[Graph]:
     """Parse blocks of v lines of v characters from {0,1}, blank-line separated.
 
-    Errors name the (0-based) block index and line within the block.
+    Lines end at ``"\\n"`` only, as in :func:`parse_graphs`. Errors name
+    the (0-based) block index and line within the block.
     """
     graphs: list[Graph] = []
     block: list[str] = []
     blocks: list[list[str]] = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip()
         if line:
             block.append(line)
@@ -368,11 +369,16 @@ def detect_format(text: str) -> str:
 
 
 def parse_graphs(text: str) -> list[Graph]:
-    """Parse a whole file worth of graphs in the format ``detect_format`` reads."""
+    """Parse a whole file worth of graphs in the format ``detect_format`` reads.
+
+    Lines end at ``"\\n"`` only (readers translate other newlines), so a
+    form feed, ``\\x1c`` or ``\\u2028`` stays inside its record, which then
+    fails as a whole.
+    """
     if detect_format(text) == "rows":
         return parse_adjacency_rows(text)
     graphs = []
-    for ln, raw in enumerate(text.splitlines()):
+    for ln, raw in enumerate(text.split("\n")):
         line = raw.strip()
         if not line or line == GRAPH6_HEADER:
             continue

@@ -112,6 +112,14 @@ def _as(m: np.ndarray, dtype) -> np.ndarray:
     return m.astype(dtype)
 
 
+def fit_int64(x: np.ndarray) -> np.ndarray:
+    """Non-negative values as int64 when every one fits, else as object:
+    the representation follows from the values, not from the tier."""
+    if x.dtype == object and (x.size == 0 or x.max() <= _FORMAT_LIMITS[1]):
+        return x.astype(np.int64)
+    return x
+
+
 def _check_u64(m: np.ndarray, what: str) -> np.ndarray:
     if m.dtype == object and _entry_max(m) > U64_MAX:
         raise MatrixOverflowError(

@@ -18,6 +18,12 @@ graph gets no stage, only its single-block flag; ``compare_pair`` runs its
 pair as a two-graph family, and ``dataset_report`` runs each family. An
 exact run that overflows int64 is re-run whole under DEFAULT_MODULUS by
 ``distinguish_family`` itself, which marks the report.
+
+A graph's ladder state keeps only what a later stage reads: its vertex
+powers until the ladder's last vertex stage, when the single-block flag is
+taken and they are dropped, and per edge power one table of |E| values.
+With jobs > 1 and more than one family, ``dataset_report`` runs families
+in a process pool, imported only then.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from __future__ import annotations
 import enum
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .edgeinv import BarPowerDiag, bar_diag_table
 from .graph import Graph, GraphFormatError, SrgParams, parse_graphs, srg_diagnosis
@@ -127,7 +134,13 @@ def default_ladder() -> LadderConfig:
 
 
 class _GraphState:
-    """Per-graph invariant caches reused across ladder stages."""
+    """Per-graph invariant caches reused across ladder stages.
+
+    ``nbhd`` holds the vertex powers' diagonals and traces until the
+    ladder's last vertex stage, when ``_walk_ladder`` takes the
+    single-block flag and drops it; ``_edge`` holds each edge power's
+    table: |E| values, the directed-edge index and the trace.
+    """
 
     __slots__ = ("graph", "modulus", "vertex_powers", "nbhd", "_edge")
 
@@ -148,7 +161,9 @@ class _GraphState:
                 self._edge.update(bar_diag_table(self.graph, missing, modulus=self.modulus))
             if mode is InvariantMode.TRACE:
                 return tuple(self._edge[p].trace for p in powers)
-            return tuple(self._edge[p].sorted_values for p in powers)
+            # both orientations of an edge share its value, so the sorted
+            # |E| values are equal exactly when the sorted 2|E| ones are
+            return tuple(_sorted_key(self._edge[p].values) for p in powers)
         # the first vertex stage computes its own powers; a graph that
         # survives it gets every other vertex power of the ladder in one pass
         self.nbhd.ensure(self.vertex_powers if self.nbhd.powers else powers)
@@ -168,6 +183,12 @@ class _GraphState:
         return self.nbhd.single_block(self.nbhd.powers) and self.nbhd.single_block(
             self.vertex_powers
         )
+
+
+def _sorted_key(values: np.ndarray):
+    """Sorted values as int64 bytes, or as a tuple of Python ints past int64."""
+    values = np.sort(values)
+    return tuple(values.tolist()) if values.dtype == object else values.tobytes()
 
 
 @dataclass(frozen=True)
@@ -264,12 +285,22 @@ def _walk_ladder(
     vertex_powers = ladder.vertex_powers()
     states: list[_GraphState | None] = [_GraphState(g, modulus, vertex_powers) for g in graphs]
     single_flags = [False] * n
+    last_vertex = max(
+        (k for k, stage in enumerate(ladder.stages) if stage.kind is not StageKind.EDGE),
+        default=None,
+    )
 
-    def finalize(i: int) -> None:
-        # a graph in its own class never computes another payload; grab the
-        # single-block flag while its power caches are warm, then free them
+    def drop_vertex_caches(i: int) -> None:
+        # no later stage reads the vertex powers: grab the single-block flag
+        # while they are warm, then free them
         if vertex_powers:
             single_flags[i] = states[i].is_single_block()
+        states[i].nbhd = None
+
+    def finalize(i: int) -> None:
+        # a graph in its own class never computes another payload
+        if states[i].nbhd is not None:
+            drop_vertex_caches(i)
         states[i] = None
 
     # a lone graph is its own class before any stage runs
@@ -279,7 +310,7 @@ def _walk_ladder(
     shared_graphs, edge_pairs = n - singletons, n * (n - 1) // 2
     results: list[StageResult] = []
 
-    for stage in ladder.stages:
+    for k, stage in enumerate(ladder.stages):
         if not groups:
             break
         new_groups: list[list[int]] = []
@@ -303,6 +334,10 @@ def _walk_ladder(
         )
         if stage.kind is not StageKind.EDGE:
             shared_graphs, edge_pairs = unresolved_graphs, unresolved_pairs
+        if k == last_vertex:
+            for grp in groups:
+                for i in grp:
+                    drop_vertex_caches(i)
 
     final_pairs = [
         (grp[i], grp[j])
@@ -474,6 +509,12 @@ def group_families(entries) -> list[Family]:
     return sorted(by_key.values(), key=order)
 
 
+# the pool class, None for concurrent.futures': it is imported only when a
+# report starts a pool, so that ``import srginv`` and jobs=1 runs load
+# neither concurrent.futures nor multiprocessing
+ProcessPoolExecutor = None
+
+
 def _family_job(payload) -> DistinguishReport:
     """One family's report; module-level, so a process pool can pickle it."""
     fam, ladder, modulus = payload
@@ -575,8 +616,11 @@ def dataset_report(
     families = group_families(entries)
     payloads = [(fam, ladder, modulus) for fam in families]
     if jobs > 1 and len(payloads) > 1:
+        pool_class = ProcessPoolExecutor
+        if pool_class is None:
+            from concurrent.futures import ProcessPoolExecutor as pool_class
         # a forked pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        with pool_class(max_workers=min(jobs, len(payloads))) as pool:
             reports = list(pool.map(_family_job, payloads))
     else:
         reports = [_family_job(p) for p in payloads]

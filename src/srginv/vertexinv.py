@@ -24,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, encode, power_cache
-
-_INT64_MAX = 2**63 - 1
+from .matpow import check_powers, encode, fit_int64, power_cache
 
 
 class InvariantMode(enum.Enum):
@@ -44,14 +42,6 @@ def row_sort_key(values: tuple[int, ...]):
     # Different lengths only occur across different-degree vertices; compare
     # by length first so the order is total.
     return (len(values), values)
-
-
-def _fit(x: np.ndarray) -> np.ndarray:
-    """Non-negative values as int64 when every one fits, else as object:
-    the representation follows from the values, not from the tier."""
-    if x.dtype == object and (x.size == 0 or x.max() <= _INT64_MAX):
-        return x.astype(np.int64)
-    return x
 
 
 def _sorted_rows(table: np.ndarray) -> np.ndarray:
@@ -223,8 +213,8 @@ class NeighborhoodPowerCache:
             d = np.sort(d, axis=1)
             if not regular:
                 d[~real] = 0
-            self._diag[p] = _fit(d)
-            self._trace[p] = _fit(cache.trace_residues(p))
+            self._diag[p] = fit_int64(d)
+            self._trace[p] = fit_int64(cache.trace_residues(p))
 
     def _table(self, powers: tuple[int, ...], mode: InvariantMode) -> np.ndarray:
         """The rows of :class:`GraphSignature`, in vertex order."""

@@ -5,7 +5,9 @@ outblock stage finds its first block on that table. Here the tuple
 payloads are rebuilt from the public tuple API (``vertex_signatures``
 values, sorted with ``row_sort_key``), and over every pair of graphs the
 two payloads must agree on equality: under each forced arithmetic tier,
-exactly and in modular mode.
+exactly and in modular mode. The edge stages key each graph by its
+traces, or by its sorted undirected-edge values as bytes; those must split
+graphs exactly as the tuples of ``bar_diag_table`` do.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from srginv import matpow
+from srginv import matpow, pipeline
 from srginv.catalog import chang_graphs, triangular_graph
 from srginv.isomorphism import random_relabel
 from srginv.matpow import DEFAULT_MODULUS
@@ -86,6 +88,43 @@ def test_payload_equality_matches_the_tuples(tier, modulus, monkeypatch):
         for i, j in itertools.combinations(range(len(GRAPHS)), 2):
             assert (new[i] == new[j]) == (old[i] == old[j]), (stage.label(), i, j)
         # the ladder groups payloads in a dict: hashing must agree too
+        assert len(set(new)) == len(set(old)), stage.label()
+
+
+EDGE_STAGES = (
+    LadderStage(StageKind.EDGE, TRACE, (2, 3, 4, 5)),
+    LadderStage(StageKind.EDGE, SD, (2, 3, 4, 5)),
+)
+
+
+@pytest.mark.parametrize(
+    "modulus", [None, DEFAULT_MODULUS, (5, 7)], ids=["exact", "modular", "5,7"]
+)
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_edge_payload_equality_matches_the_tables(tier, modulus, monkeypatch):
+    # Etr keys on the traces, Esd on the sorted |E| values (bytes, or a
+    # tuple past int64); both must split pairs as the table tuples do
+    for name, value in TIERS[tier].items():
+        monkeypatch.setattr(matpow, name, value)
+    # object products on the 270-edge bar blocks of the order-6 Latin
+    # square graphs take seconds per graph; the smaller graphs run them all
+    graphs = [g for g in GRAPHS if tier != "object" or g.v < 36]
+    tables = []  # the tables the states compute, in graph order
+    real = pipeline.bar_diag_table
+
+    def recording(*args, **kwargs):
+        tables.append(real(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(pipeline, "bar_diag_table", recording)
+    states = [_GraphState(g, modulus, ()) for g in graphs]
+    for stage in EDGE_STAGES:
+        new = [state.payload(stage) for state in states]
+        read = (lambda d: d.trace) if stage.mode is TRACE else (lambda d: d.sorted_values)
+        old = [tuple(read(table[p]) for p in stage.powers) for table in tables]
+        assert len(old) == len(graphs)  # one table per graph, reused by Esd
+        for i, j in itertools.combinations(range(len(graphs)), 2):
+            assert (new[i] == new[j]) == (old[i] == old[j]), (stage.label(), i, j)
         assert len(set(new)) == len(set(old)), stage.label()
 
 

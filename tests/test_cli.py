@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,6 +286,24 @@ def test_stdin_parse_error_names_stdin(capsys, monkeypatch):
         assert capsys.readouterr().err == (
             "error: <stdin>: line 0: byte 5: truncated record (4 data bytes, need 8)\n"
         )
+
+
+def test_stdin_record_is_cut_at_newline_only():
+    # real stdin, whose newline translation leaves a form feed in place
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "srginv", "check-srg"],
+        input=b"Bw\fB\n", env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: <stdin>: line 0: byte 2: unexpected trailing characters\n"
+
+
+def test_crlf_file_parses(tmp_path, capsys):
+    f = tmp_path / "crlf.g6"
+    f.write_bytes(petersen_graph().to_graph6().encode() + b"\r\n")
+    assert main(["check-srg", str(f)]) == 0
+    assert capsys.readouterr().out == f"{f}:0: 10-3-0-1\n"
 
 
 def test_one_vertex_record(capsys, monkeypatch):

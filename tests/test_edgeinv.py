@@ -260,9 +260,11 @@ def test_bar_tables_in_sequence_equal_fresh_tables(monkeypatch):
     assert edgeinv._thread_buffers.bufs is bufs
     assert buffered == [True, True] * 2
     assert got == want
-    for table in got:  # Python ints only: nothing points into a buffer
+    for table in got:  # nothing points into a buffer
         for diag in table.values():
             assert all(type(x) is int for x in (*diag.per_pair, *diag.sorted_values, diag.trace))
+            for array in (diag.values, diag.edge_of):
+                assert not any(np.shares_memory(array, buf) for buf in bufs)
 
 
 @pytest.mark.parametrize("tier", ["int64", "object"])

@@ -214,6 +214,30 @@ def test_parse_graphs_reports_line():
         parse_graphs("Bw\nB\n")
 
 
+@pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_records_split_at_newline_only(sep):
+    # str.splitlines() would end a record at each of these
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graphs(f"Bw{sep}Bw\n")
+    assert str(exc.value) == "line 0: byte 2: unexpected trailing characters"
+    with pytest.raises(GraphFormatError) as exc:
+        parse_adjacency_rows(f"0{sep}1\n10\n")
+    assert str(exc.value) == "block 0, line 0: expected 2 characters, got 3"
+
+
+def test_record_holding_a_separator_fails_whole():
+    for text in ("B\x1cw\n", "Bw\fB\n"):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graphs(text)
+        assert str(exc.value) == "line 0: byte 2: unexpected trailing characters"
+
+
+def test_crlf_input_parses():
+    assert [g.v for g in parse_graphs(">>graph6<<\r\nBw\r\nA_\r\n")] == [3, 2]
+    (g,) = parse_graphs("011\r\n101\r\n110\r\n\r\n")
+    assert g.edge_count == 3
+
+
 def test_graph_validation():
     with pytest.raises(ValueError, match="asymmetric"):
         Graph(2, [0b10, 0b00])

@@ -1,15 +1,20 @@
 import collections
+import gc
 import gzip
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srginv import pipeline
+from srginv import pipeline, vertexinv
 from srginv.catalog import (
     chang_graphs,
     cycle_graph,
@@ -638,3 +643,72 @@ def test_modular_report_equals_exact():
         list(DEFAULT_MODULUS),
     )
     assert modular == exact
+
+
+# ---------------------------------------------------------------------------
+# what a graph's ladder state keeps
+
+
+def test_vertex_caches_are_dropped_before_the_edge_stages(monkeypatch):
+    alive = weakref.WeakSet()
+    init = vertexinv.NeighborhoodPowerCache.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+
+    monkeypatch.setattr(vertexinv.NeighborhoodPowerCache, "__init__", tracked)
+    real = pipeline.bar_diag_table
+    at_first_table = []  # caches alive at each family's first edge table
+
+    def table(*args, **kwargs):
+        if at_first_table[-1] is None:
+            gc.collect()
+            at_first_table[-1] = len(alive)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "bar_diag_table", table)
+    # isomorphic pairs run every stage; Rook(4) and Shrikhande stop at sd
+    families = {
+        1: [FX["petersen"], random_relabel(FX["petersen"], 5)[0]],
+        2: [FX["rook4"], FX["shrikhande"], random_relabel(FX["shrikhande"], 6)[0]],
+    }
+    for classes, graphs in families.items():
+        at_first_table.append(None)
+        assert distinguish_family(graphs).final_classes == classes
+    assert at_first_table == [0, 0]
+
+
+def test_import_leaves_the_process_pool_out():
+    code = (
+        "import sys, srginv\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("modulus", [None, DEFAULT_MODULUS], ids=["exact", "modular"])
+def test_vertex_stage_between_edge_stages(modulus):
+    # the single-block flag is taken after the last vertex stage, wherever
+    # the ladder puts it
+    ladder = LadderConfig.from_json(json.dumps({"stages": [
+        {"kind": "edge", "mode": "trace", "powers": [2, 3, 4, 5]},
+        {"kind": "vertex", "mode": "sortdiag", "powers": [3, 4, 5]},
+        {"kind": "edge", "mode": "sortdiag", "powers": [2, 3, 4, 5]},
+    ]}))
+    entries = load_dataset_text(golden_dataset_text(False), allow_non_srg=True)
+    got = {
+        f.family: ([(s.classes, s.unresolved_graphs, s.unresolved_pairs) for s in f.stages],
+                   f.single_block_graphs)
+        for f in dataset_report(entries, ladder, modulus=modulus).families
+    }
+    assert got == {
+        "16-nonsrg": ([(2, 2, 1)] * 3, 0),
+        "16-6-2-2": ([(1, 3, 3), (2, 2, 1), (2, 2, 1)], 3),
+        "28-12-6-4": ([(4, 2, 1)] * 3, 1),
+    }
