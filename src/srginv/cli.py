@@ -63,6 +63,14 @@ def _read_graphs_exactly(path: str, count: int) -> list[Graph]:
     return [g for _, _, g in entries]
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1, as an argparse type."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _modulus(args) -> tuple[int, int] | None:
     return DEFAULT_MODULUS if args.modulus else None
 
@@ -237,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", help="dataset files or directories (stdin when omitted)")
     p.add_argument("--ladder", default="default")
     p.add_argument("--out", choices=["json", "table"], default="table")
-    p.add_argument("--jobs", type=int, default=1, help="families processed in parallel")
+    p.add_argument("--jobs", type=positive_int, default=1,
+                   help="families processed in parallel")
     p.add_argument("--allow-non-srg", action="store_true",
                    help="process graphs failing the SRG check instead of rejecting")
     p.add_argument("--show-all", action="store_true",

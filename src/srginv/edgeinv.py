@@ -99,12 +99,13 @@ class BarPowerDiag:
     """Diagonal of one bar-matrix power, and its trace.
 
     ``values`` holds one value per undirected edge ``e = (a<b)``, in
-    lexicographic order, as both orientations of an edge share it: int64
-    when every value fits, else an object array of Python ints (exact
-    values past int64, or modular encodings). ``edge_of`` maps each
-    directed edge to its undirected index. ``per_pair`` (per directed
-    edge, in row-major order of the adjacency) and ``sorted_values`` are
-    tuples built on each read; the trace is a Python int.
+    lexicographic order, as both orientations of an edge share it: exact
+    values, or in modular mode residues mod ``p1 * p2``, the exact value
+    below it; int64 when every value fits, else an object array of Python
+    ints. ``edge_of`` maps each directed edge to its undirected index.
+    ``per_pair`` (per directed edge, in row-major order of the adjacency)
+    and ``sorted_values`` are tuples built on each read; the trace is a
+    Python int.
     """
 
     __slots__ = ("power", "values", "edge_of", "trace")

@@ -28,9 +28,10 @@ second operand untransposed. Past int64 the modulus decides:
 * modular mode, primes ``(p1, p2)``: values become Python ints reduced mod
   ``p1 * p2``, which hold exactly the residues mod each prime (Chinese
   remainder theorem): valid isomorphism invariants with collision
-  probability about 2**-122 per value, output as
-  ``(x mod p1) * p2 + x mod p2``. An exact value gives the same output, so
-  where the switch happened never shows.
+  probability about 2**-122 per value. Output is the residue in
+  ``[0, p1 * p2)``, which is the exact value whenever that is non-negative
+  and below ``p1 * p2``, so where the switch happened never shows and
+  modular output equals exact output wherever both exist.
 """
 
 from __future__ import annotations
@@ -187,16 +188,6 @@ def checked_rowdot(
     return _diagonal_values(_rowdot(_as(a, dtype), _as(b, dtype)))
 
 
-def encode(x, modulus: tuple[int, int]):
-    """A value, or an array of them, as ``(x mod p1) * p2 + (x mod p2)``: a
-    bijection on ``[0, p1 * p2)``, in Python ints, as it would wrap in
-    int64."""
-    p1, p2 = modulus
-    if isinstance(x, np.ndarray):
-        x = _as(x, object)
-    return (x % p1) * p2 + x % p2
-
-
 class PowerCache:
     """Cached powers of a (m, k, k) stack of square integer matrices, and
     their diagonals and traces.
@@ -205,10 +196,9 @@ class PowerCache:
     exponents; it returns exact values, or in modular mode past int64
     values reduced mod ``p1 * p2``. ``diag_array(p)`` forms only the half
     powers. Exact (m, k) diagonals and (m,) traces are int64, or object
-    past int64; modular ones are object arrays of
-    ``(x mod p1) * p2 + (x mod p2)``, so a trace still equals the encoded
-    sum of its true diagonal. ``diag_residues`` and ``trace_residues`` are
-    the same values before that encoding, in ``[0, p1 * p2)``.
+    past int64; modular ones are the residues mod ``p1 * p2``, the exact
+    value below it: int64 when the exact values are non-negative int64,
+    else object. A trace is the residue of the sum of its true diagonal.
 
     ``buffers`` are float64 arrays of the base's shape that the float64
     base and powers are written into, as far as they last. ``power`` may
@@ -308,28 +298,15 @@ class PowerCache:
             return x % n
         return x if x.size == 0 or x.min() >= 0 else _as(x, object) % n
 
-    def _report(self, x: np.ndarray) -> np.ndarray:
-        return x if self.modulus is None else encode(x, self.modulus)
-
-    def diag_residues(self, p: int) -> np.ndarray:
-        """``diag_array(p)`` before the modular encoding. The encoding is a
-        bijection on ``[0, p1 * p2)``, so two of these are equal exactly
-        when their encoded values are."""
+    def diag_array(self, p: int) -> np.ndarray:
         return self._residues(self._diag(p))
 
-    def trace_residues(self, p: int) -> np.ndarray:
-        """``trace_array(p)`` before the modular encoding."""
+    def trace_array(self, p: int) -> np.ndarray:
         return self._residues(_row_sums(self._diag(p)))
 
-    def diag_array(self, p: int) -> np.ndarray:
-        return self._report(self._diag(p))
-
-    def trace_array(self, p: int) -> np.ndarray:
-        return self._report(_row_sums(self._diag(p)))
-
     def half_sum(self, p: int) -> tuple[np.ndarray, int]:
-        """The encoded diagonal of ``(M0^p + M1^p) / 2`` over a stack of
-        two, and the encoded trace of ``M0^p + M1^p``.
+        """The diagonal of ``(M0^p + M1^p) / 2`` over a stack of two, and
+        the trace of ``M0^p + M1^p``, as :meth:`diag_array` reports them.
 
         Every diagonal sum must be even. Exact sums halve exactly; in
         modular mode a sum may be reduced mod ``p1 * p2``, so it is
@@ -346,7 +323,7 @@ class PowerCache:
             if n % 2 == 0:
                 raise ValueError(f"halving mod {n} needs odd primes")
             half = _as(total, object) * pow(2, -1, n) % n
-        return self._report(half), self._report(trace).tolist()[0]
+        return half, self._residues(trace).tolist()[0]
 
     def diagonals(self, p: int) -> list[tuple[int, ...]]:
         """Unsorted diagonal of the p-th power, one tuple per stacked matrix."""

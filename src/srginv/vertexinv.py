@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, encode, fit_int64, power_cache
+from .matpow import check_powers, fit_int64, power_cache
 
 
 class InvariantMode(enum.Enum):
@@ -58,27 +58,17 @@ def _sorted_rows(table: np.ndarray) -> np.ndarray:
     return np.sort(records).view(">i8").reshape(table.shape)
 
 
-def _value_rows(table, mode: InvariantMode, npowers: int, modulus) -> list[tuple[int, ...]]:
-    """Table rows (see :class:`GraphSignature`) as the API's value tuples.
-
-    A SORTED_DIAG row drops its degree and padding; modular values are
-    encoded, and each diagonal sorted again, as the encoding is not
-    monotone.
-    """
+def _value_rows(table, mode: InvariantMode, npowers: int) -> list[tuple[int, ...]]:
+    """Table rows (see :class:`GraphSignature`) as the API's value tuples;
+    a SORTED_DIAG row drops its degree and padding."""
     rows = table.tolist() if isinstance(table, np.ndarray) else table
+    if mode is InvariantMode.TRACE:
+        return [tuple(row) for row in rows]
     width = (len(rows[0]) - 1) // npowers if rows else 0
-    out = []
-    for row in rows:
-        if mode is InvariantMode.SORTED_DIAG:
-            segs = [row[1 + i * width : 1 + i * width + row[0]] for i in range(npowers)]
-        else:
-            segs = [row]
-        if modulus is not None:
-            segs = [[encode(x, modulus) for x in seg] for seg in segs]
-            if mode is InvariantMode.SORTED_DIAG:
-                segs = [sorted(seg) for seg in segs]
-        out.append(tuple(x for seg in segs for x in seg))
-    return out
+    return [
+        tuple(x for i in range(npowers) for x in row[1 + i * width : 1 + i * width + row[0]])
+        for row in rows
+    ]
 
 
 class GraphSignature:
@@ -87,11 +77,13 @@ class GraphSignature:
     It holds one row-sorted table with a row per vertex. A SORTED_DIAG row
     is the vertex's degree, then each power's sorted diagonal zero-padded
     to the largest degree; a TRACE row is the traces. Values are exact,
-    or in modular mode residues mod ``p1 * p2``. The table is int64 when
-    every value fits, else a tuple of Python-int rows. Two signatures of
-    the same mode and modulus are equal exactly when their ``rows`` are,
-    and compare by table bytes; ``rows``, the value tuples the API
-    returns, are built on first use.
+    or in modular mode residues mod ``p1 * p2``, the exact value below it.
+    The table is int64 when every value fits, else a tuple of Python-int
+    rows. Its first row is that of the smallest signature in ``rows``
+    order: the degree sorts first, as the row length does there. Two
+    signatures of the same mode and modulus are equal exactly when their
+    ``rows`` are, and compare by table bytes; ``rows``, the value tuples
+    the API returns, are built on first use.
     """
 
     __slots__ = ("_key", "_table", "_layout", "_rows")
@@ -103,7 +95,7 @@ class GraphSignature:
         else:
             self._table = _sorted_rows(table)
             body = (self._table.shape, self._table.tobytes())
-        self._layout = (mode, npowers, modulus)
+        self._layout = (mode, npowers)
         self._key = (mode, modulus, body)
         self._rows = None
 
@@ -112,21 +104,6 @@ class GraphSignature:
         if self._rows is None:
             self._rows = tuple(sorted(_value_rows(self._table, *self._layout), key=row_sort_key))
         return self._rows
-
-    def _first_row(self):
-        """The table row of the smallest signature in ``rows`` order."""
-        mode, npowers, modulus = self._layout
-        table = self._table
-        # encoding is monotone below both primes; past them, compare encoded
-        if isinstance(table, np.ndarray):
-            top = table.max(initial=0)
-        else:
-            top = max(map(max, table), default=0)
-        if modulus is None or top < min(modulus):
-            return table[0]
-        rows = table.tolist() if isinstance(table, np.ndarray) else table
-        values = _value_rows(rows, mode, npowers, modulus)
-        return rows[min(range(len(rows)), key=lambda i: row_sort_key(values[i]))]
 
     def __eq__(self, other):
         if not isinstance(other, GraphSignature):
@@ -173,7 +150,7 @@ class NeighborhoodPowerCache:
 
     Per power it keeps the (v, kmax) sorted diagonals, padding zeroed, and
     the (v,) traces: exact values, or in modular mode residues mod
-    ``p1 * p2`` before the encoding; int64 when every value fits. The
+    ``p1 * p2``, the exact value below it; int64 when every value fits. The
     power engine and its matrices are dropped when ``ensure`` returns, so
     this stays cheap enough to keep alive per graph across the ladder.
     """
@@ -207,14 +184,14 @@ class NeighborhoodPowerCache:
         cache = power_cache(stack, self.modulus)
         regular = real.all()
         for p in missing:
-            d = cache.diag_residues(p)
+            d = cache.diag_array(p)
             if not regular:  # padding sorts after the real entries, then reads 0
                 d = np.where(real, d, d.max(initial=0))
             d = np.sort(d, axis=1)
             if not regular:
                 d[~real] = 0
             self._diag[p] = fit_int64(d)
-            self._trace[p] = fit_int64(cache.trace_residues(p))
+            self._trace[p] = fit_int64(cache.trace_array(p))
 
     def _table(self, powers: tuple[int, ...], mode: InvariantMode) -> np.ndarray:
         """The rows of :class:`GraphSignature`, in vertex order."""
@@ -244,7 +221,7 @@ class NeighborhoodPowerCache:
         self, powers: tuple[int, ...], mode: InvariantMode
     ) -> list[tuple[int, ...]]:
         """Per-vertex concatenation across powers, in vertex order."""
-        return _value_rows(self._table(powers, mode), mode, len(powers), self.modulus)
+        return _value_rows(self._table(powers, mode), mode, len(powers))
 
 
 def nbhd_power_diag(
@@ -333,7 +310,7 @@ def outblock_signature(
     if not len(table):
         raise ValueError("cannot partition an empty signature list")
     base = GraphSignature(table, mode, len(powers), modulus)
-    first = (table == np.array(base._first_row(), dtype=table.dtype)).all(axis=1)
+    first = (table == np.array(base._table[0], dtype=table.dtype)).all(axis=1)
     if first.all():
         return OutblockSignature(base, False, (), None)
     tail = g.induced_subgraph(np.flatnonzero(~first).tolist())

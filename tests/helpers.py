@@ -35,6 +35,12 @@ TIERS = {
 }
 
 
+def residue(x: int, modulus: tuple[int, int] | None) -> int:
+    """``x`` as modular mode reports it: its residue mod ``p1 * p2``, the
+    exact value below it; ``x`` itself without a modulus."""
+    return x if modulus is None else x % (modulus[0] * modulus[1])
+
+
 def er_graph(v: int, seed: int, p: float = 0.5) -> Graph:
     """Seeded Erdos-Renyi graph."""
     rng = random.Random(seed)

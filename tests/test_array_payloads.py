@@ -128,20 +128,29 @@ def test_edge_payload_equality_matches_the_tables(tier, modulus, monkeypatch):
         assert len(set(new)) == len(set(old)), stage.label()
 
 
-def test_outblock_removes_the_first_block_by_encoded_order():
-    # under primes (3, 5), x encodes as (x mod 3) * 5 + x mod 5, so 1, 2
-    # and 3 encode as 6, 12 and 3: the diagonal (1, 2, 2, 3) is the
-    # smallest by value, but (2, 2, 3, 3) encodes as (3, 3, 12, 12), below
-    # the (3, 6, 12, 12) of the first
+def test_modular_esd_keys_on_bytes():
+    # residues below int64 key as the exact values do, not as a tuple
+    stage = EDGE_STAGES[-1]
+    assert stage.mode is SD
+    g = triangular_graph(8)
+    key = _GraphState(g, DEFAULT_MODULUS, ()).payload(stage)
+    assert all(type(k) is bytes for k in key)
+    assert key == _GraphState(g, None, ()).payload(stage)
+
+
+def test_outblock_removes_the_first_block_by_residue_order():
+    # under primes (3, 5), values are residues mod 15: the fourth-power
+    # diagonal (3, 7, 7, 11) is the smallest by value, but (10, 10, 15, 15)
+    # reduces to (0, 0, 10, 10), below it, so the first block is that one
     g, modulus = er_graph(7, 149, 0.5), (3, 5)
-    vals = values(g, (2,), SD, modulus)
+    vals = values(g, (4,), SD, modulus)
     first = min(vals, key=row_sort_key)
-    nb = outblock_signature(g, (2,), SD, modulus=modulus)
+    nb = outblock_signature(g, (4,), SD, modulus=modulus)
     assert nb.refined
     assert nb.removed == tuple(a for a, row in enumerate(vals) if row == first)
-    raw = [s.values for s in vertex_signatures(g, (2,), SD)]
+    raw = [s.values for s in vertex_signatures(g, (4,), SD)]
     assert first != vals[raw.index(min(raw, key=row_sort_key))]
     assert nb.base.rows == tuple(sorted(vals, key=row_sort_key))
     keep = [a for a, row in enumerate(vals) if row != first]
-    tail = values(g.induced_subgraph(keep), (2,), SD, modulus)
+    tail = values(g.induced_subgraph(keep), (4,), SD, modulus)
     assert nb.tail.rows == tuple(sorted(tail, key=row_sort_key))

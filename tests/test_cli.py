@@ -1,10 +1,12 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srginv.catalog import (
@@ -17,7 +19,7 @@ from srginv.catalog import (
 )
 from srginv.cli import main
 from srginv.isomorphism import random_relabel
-from srginv.matpow import DEFAULT_MODULUS
+from srginv.matpow import DEFAULT_MODULUS, U64_MAX
 
 from helpers import fixture_graphs
 
@@ -234,6 +236,15 @@ def test_report_jobs_flag(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4", "x"])
+def test_report_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    f = write(tmp_path, "fam.g6", FX["rook4"], FX["shrikhande"])
+    with pytest.raises(SystemExit) as exc:
+        main(["report", f, "--jobs", jobs])
+    assert exc.value.code == 1
+    assert "argument --jobs" in capsys.readouterr().err
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     assert main(["check-srg", "/nonexistent/file.g6"]) == 1
     assert "error" in capsys.readouterr().err
@@ -398,6 +409,58 @@ def test_per_graph_overflow_asks_for_modular_mode(tmp_path, capsys, command, pow
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith("; retry in modular mode\n")
     assert main([command, f, "--powers", power, "--modulus"]) == 0
+
+
+def t8_oracle(command: str, power: int) -> list[int]:
+    """Exact T(8) values, sorted per vertex (vertex-inv) or over the
+    directed edges (edge-inv), from powers of the neighborhood matrices and
+    of the bar matrix on the directed edges, built from their definitions."""
+    a = triangular_graph(8).dense().astype(np.int64)
+    if command == "vertex-inv":
+        out = []
+        for row in a:
+            nb = np.flatnonzero(row)
+            sub = np.linalg.matrix_power(a[np.ix_(nb, nb)].astype(object), power)
+            out.append(sorted(int(x) for x in np.diagonal(sub)))
+        return out
+    pairs = list(zip(*np.nonzero(a)))
+    bar = np.array([[a[x, c] * a[y, d] for c, d in pairs] for x, y in pairs])
+    # entries of bar^h stay below (row sum)^h, so int64 holds the half power
+    h = power // 2
+    assert power % 2 == 0 and int(bar.sum(axis=1).max()) ** h < 2**63
+    half = np.linalg.matrix_power(bar, h).astype(object)
+    # bar is symmetric, so diag(bar^power) is the row dot of bar^h with itself
+    return sorted(int(x) for x in (half * half).sum(axis=1))
+
+
+@pytest.mark.parametrize("command, power", [("vertex-inv", 30), ("edge-inv", 12)])
+def test_modular_output_is_exact_past_u64(tmp_path, capsys, command, power):
+    # these values pass the unsigned 64-bit range but stay below p1 * p2,
+    # where the residue modular mode prints is the exact value
+    f = write(tmp_path, "t8.g6", triangular_graph(8))
+    want = t8_oracle(command, power)
+    rows = want if command == "vertex-inv" else [want]
+    assert U64_MAX < max(map(max, rows)) < math.prod(DEFAULT_MODULUS)
+    assert main([command, f, "--powers", str(power), "--modulus"]) == 0
+    (graph,) = json.loads(capsys.readouterr().out)["graphs"]
+    if command == "vertex-inv":
+        assert graph["vertex_signatures"] == want
+    else:
+        assert graph["values"] == {str(power): want}
+
+
+@pytest.mark.parametrize("command, powers", [("vertex-inv", "3,4,5"), ("edge-inv", "2,3,4,5")])
+@pytest.mark.parametrize("mode", ["sortdiag", "trace"])
+def test_modular_json_equals_exact_json(tmp_path, capsys, command, powers, mode):
+    # Petersen neighborhoods have no edges, so Rook(4) gives nonzero vertex values
+    f = write(tmp_path, "p.g6", petersen_graph(), FX["rook4"])
+    runs = []
+    for flags in ([], ["--modulus"]):
+        assert main([command, f, "--powers", powers, "--mode", mode, *flags]) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    exact, modded = runs
+    assert (exact.pop("arithmetic"), modded.pop("arithmetic")) == ("exact", "mod-reduced")
+    assert modded == exact
 
 
 def test_compare_overflow_falls_back(tmp_path, capsys):

@@ -15,7 +15,14 @@ from srginv.isomorphism import random_relabel
 from srginv.matpow import DEFAULT_MODULUS, MatrixOverflowError
 from srginv.vertexinv import InvariantMode
 
-from helpers import TIERS, dense_bar_power_diag, directed_edges, er_graph, fixture_graphs
+from helpers import (
+    TIERS,
+    dense_bar_power_diag,
+    directed_edges,
+    er_graph,
+    fixture_graphs,
+    residue,
+)
 
 FX = fixture_graphs()
 TRACE = InvariantMode.TRACE
@@ -175,8 +182,8 @@ def test_bar_values_in_modular_mode():
     g = FX["prism"]
     exact = bar_power_diag(g, 2, SD)
     modded = bar_power_diag(g, 2, SD, modulus=DEFAULT_MODULUS)
-    p2 = DEFAULT_MODULUS[1]
-    assert modded == tuple(x * p2 + x for x in exact)
+    # every value lies below p1 * p2, where the residue is the exact value
+    assert modded == exact
 
 
 def test_bar_matrix_entries_match_definition():
@@ -198,13 +205,6 @@ def test_bar_matrix_entries_match_definition():
     assert not np.diagonal(bar.blocks[0] + bar.blocks[1]).any()
 
 
-def encoded(x, modulus):
-    if modulus is None:
-        return x
-    p1, p2 = modulus
-    return (x % p1) * p2 + x % p2
-
-
 @pytest.mark.parametrize("modulus", [None, (5, 7)])
 @pytest.mark.parametrize("tier", sorted(TIERS))
 def test_bar_table_matches_dense_in_every_tier(tier, modulus, monkeypatch):
@@ -218,10 +218,21 @@ def test_bar_table_matches_dense_in_every_tier(tier, modulus, monkeypatch):
         table = bar_diag_table(g, powers, modulus=modulus)
         for p in powers:
             dense = dense_bar_power_diag(g, p)
-            want = [encoded(dense[pair], modulus) for pair in pairs]
+            want = [residue(dense[pair], modulus) for pair in pairs]
             assert list(table[p].per_pair) == want
             assert list(table[p].sorted_values) == sorted(want)
-            assert table[p].trace == encoded(sum(dense[pair] for pair in pairs), modulus)
+            assert table[p].trace == residue(sum(dense[pair] for pair in pairs), modulus)
+
+
+def test_modular_t8_tables_are_exact_int64():
+    # T(8) edge values at powers 2..5 fit int64, so the residues do too
+    g, powers = triangular_graph(8), (2, 3, 4, 5)
+    exact = bar_diag_table(g, powers)
+    modded = bar_diag_table(g, powers, modulus=DEFAULT_MODULUS)
+    for p in powers:
+        assert modded[p].values.dtype == np.int64
+        assert np.array_equal(modded[p].values, exact[p].values)
+        assert modded[p].trace == exact[p].trace
 
 
 def test_exact_overflow_boundary_on_t8():

@@ -18,7 +18,7 @@ from srginv.matpow import (
 )
 from srginv.vertexinv import NeighborhoodPowerCache
 
-from helpers import TIERS
+from helpers import TIERS, residue
 
 
 def random_01_stack(m, k, seed):
@@ -120,24 +120,21 @@ def test_checked_matmul_rejects_nothing_small():
 def test_modular_matches_exact_residues():
     stack = random_01_stack(2, 5, 7)
     mod = ModularPowerCache(stack, DEFAULT_MODULUS)
-    p1, p2 = DEFAULT_MODULUS
     for p in (2, 3, 6):
         got = mod.diagonals(p)
         traces = mod.traces(p)
         for i in range(2):
             want = exact_power(stack[i], p)
             want_diag = [int(want[j, j]) for j in range(5)]
-            assert got[i] == tuple((x % p1) * p2 + (x % p2) for x in want_diag)
-            t = sum(want_diag)
-            assert traces[i] == (t % p1) * p2 + (t % p2)
+            assert got[i] == tuple(residue(x, DEFAULT_MODULUS) for x in want_diag)
+            assert traces[i] == residue(sum(want_diag), DEFAULT_MODULUS)
 
 
 def test_modular_handles_values_past_u64():
     big = np.array([[[2**32]]], dtype=object)
     mod = ModularPowerCache(big, DEFAULT_MODULUS)
-    p1, p2 = DEFAULT_MODULUS
     x = (2**32) ** 4
-    assert mod.diagonals(4)[0] == ((x % p1) * p2 + (x % p2),)
+    assert mod.diagonals(4)[0] == (residue(x, DEFAULT_MODULUS),)
 
 
 def test_power_cache_factory():
@@ -206,17 +203,16 @@ def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_modular_diagonal_kernel_matches_encoded_residues(seed):
+def test_modular_diagonal_kernel_matches_residues(seed):
     # the multiplier pushes entries past both primes, so reduction matters
     stack = random_01_stack(3, 6, 200 + seed).astype(object) * (2**40 + 7)
     mod = ModularPowerCache(stack, DEFAULT_MODULUS)
-    p1, p2 = DEFAULT_MODULUS
     for p in range(1, 14):
         want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
         assert mod.diag_array(p).tolist() == [
-            [(x % p1) * p2 + x % p2 for x in row] for row in want
+            [residue(x, DEFAULT_MODULUS) for x in row] for row in want
         ]
-        assert mod.traces(p) == [(sum(row) % p1) * p2 + sum(row) % p2 for row in want]
+        assert mod.traces(p) == [residue(sum(row), DEFAULT_MODULUS) for row in want]
 
 
 def test_rowdot_tiers_at_their_bounds():
@@ -256,10 +252,6 @@ def test_kernel_forms_only_half_powers(modulus, matmul_calls):
     assert len(matmul_calls) == 1  # the stacked square of the neighborhood matrices
 
 
-def encoded(x, modulus):
-    return (x % modulus[0]) * modulus[1] + x % modulus[1]
-
-
 @pytest.mark.parametrize("modulus", [None, (5, 7), DEFAULT_MODULUS])
 @pytest.mark.parametrize("tier", sorted(TIERS))
 def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
@@ -275,8 +267,8 @@ def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
             assert half.tolist() == [int(x) // 2 for x in total]
             assert trace == int(sum(total))
         else:
-            assert half.tolist() == [encoded(int(x) // 2, modulus) for x in total]
-            assert trace == encoded(int(sum(total)), modulus)
+            assert half.tolist() == [residue(int(x) // 2, modulus) for x in total]
+            assert trace == residue(int(sum(total)), modulus)
 
 
 def test_half_sum_past_int64_stays_exact():
@@ -295,7 +287,7 @@ def test_half_sum_needs_two_matrices_and_odd_primes():
 
 def test_modulus_parts_must_be_coprime():
     stack = random_01_stack(1, 3, 0)
-    # (4, 6) would encode 0 and 12 alike: 12 = 0 mod 4 and mod 6
+    # (4, 6) are not coprime: 0 and 12 agree mod 4 and mod 6, yet differ mod 24
     for modulus in [(4, 4), (1, 5), (4, 6)]:
         with pytest.raises(ValueError, match="two distinct primes"):
             PowerCache(stack, modulus)
@@ -324,8 +316,8 @@ def test_modular_engine_across_the_residue_switch(name, modulus):
     want = [np.asarray(m).astype(object) for m in stack]
     for p in range(1, 61):
         diags = [[int(x) for x in np.diagonal(w)] for w in want]
-        assert mod.diag_array(p).tolist() == [[encoded(x, modulus) for x in d] for d in diags]
-        assert mod.traces(p) == [encoded(sum(d), modulus) for d in diags]
+        assert mod.diag_array(p).tolist() == [[residue(x, modulus) for x in d] for d in diags]
+        assert mod.traces(p) == [residue(sum(d), modulus) for d in diags]
         # a power is its exact values, or past int64 Python ints reduced mod
         # p1 * p2; reduced (5, 7) values run exactly on float64 again, so
         # the dtype alone does not say which
@@ -342,5 +334,5 @@ def test_modular_engine_takes_the_exact_fast_path(matmul_calls):
     mod.trace(3)
     assert len(matmul_calls) == 1  # P2 on the BLAS tier, not two object products
     exact = NeighborhoodPowerCache(paley_graph(13))
-    assert mod.diag(3) == [tuple(encoded(x, DEFAULT_MODULUS) for x in row) for row in exact.diag(3)]
-    assert mod.trace(3) == [encoded(t, DEFAULT_MODULUS) for t in exact.trace(3)]
+    assert mod.diag(3) == [tuple(residue(x, DEFAULT_MODULUS) for x in row) for row in exact.diag(3)]
+    assert mod.trace(3) == [residue(t, DEFAULT_MODULUS) for t in exact.trace(3)]

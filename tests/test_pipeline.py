@@ -632,8 +632,8 @@ def test_report_matches_golden(modular):
 
 
 def test_modular_report_equals_exact():
-    # every value of this set lies below both primes, where the encoding is
-    # injective, so both modes split the same classes at the same stages
+    # every value of this set lies below p1 * p2, where the residue is the
+    # exact value, so both modes split the same classes at the same stages
     entries = load_dataset_text(golden_dataset_text(False), allow_non_srg=True)
     exact = dataset_report(entries).to_json_obj()
     modular = dataset_report(entries, modulus=DEFAULT_MODULUS).to_json_obj()
