@@ -20,8 +20,12 @@ each, divided by sqrt 2, so
 
 Both blocks are integer matrices, so the sum is an exact, even integer
 and halves exactly (in modular mode, by the inverse of 2 mod ``p1 * p2``).
-Only the blocks are powered: a quarter of the flops of powering ``B``.
-Exact mode checks the entries of the half powers of ``B+`` and ``B-``.
+Only the blocks are powered, one after the other, and their diagonals
+summed and halved in one place (:func:`matpow.half_sum`). Powers 2..5
+need only the syrk squares ``B±^2`` and ``B±^4`` of each block (see
+:mod:`matpow`): a sixth of the flops of powering ``B`` by a syrk square
+and a product. Exact mode checks the entries of the half powers of ``B+``
+and ``B-``; a square formed for an odd power stays below 2**53.
 ``B+^h[e,f] = B^h[(a,b),(c,d)] + B^h[(a,b),(d,c)]`` and ``B^h >= 0``, so
 they bound the entries of ``B^h`` in magnitude and are at most twice as
 large: an overflow error comes whenever powering ``B`` gives one, and at
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, fit_int64, power_cache
+from .matpow import check_powers, fit_int64, half_sum, power_cache
 from .vertexinv import InvariantMode
 
 
@@ -82,9 +86,10 @@ def build_bar_matrix(g: Graph) -> BarMatrix:
     return BarMatrix(np.stack((s + w, s - w)), undirected[np.nonzero(a)])
 
 
-# float64 storage for the bar base, B^2 and B^3, reused from one table to
-# the next (one set per thread), so that a table does not fault in fresh
-# pages for its powers; no table array points into them
+# float64 storage for one block's base, B^2 and B^4, shared by the two
+# blocks in turn and reused from one table to the next (one set per
+# thread), so that a table does not fault in fresh pages for its powers;
+# no table array points into them
 _thread_buffers = threading.local()
 
 
@@ -144,12 +149,20 @@ def bar_diag_table(
     bar = build_bar_matrix(g)
     if bar.is_empty:
         return {p: BarPowerDiag(p, np.zeros(0, np.int64), bar.edge_of, 0) for p in powers}
-    cache = power_cache(bar.blocks, modulus, buffers=_bar_buffers(bar.blocks.shape))
+    buffers = _bar_buffers(bar.blocks[:1].shape)
+    plus, minus = (_block_diags(block, powers, modulus, buffers) for block in bar.blocks)
     out = {}
     for p in powers:
-        half, trace = cache.half_sum(p)
+        half, trace = half_sum(np.concatenate((plus[p], minus[p])), modulus)
         out[p] = BarPowerDiag(p, fit_int64(half), bar.edge_of, trace)
     return out
+
+
+def _block_diags(block: np.ndarray, powers, modulus, buffers) -> dict[int, np.ndarray]:
+    """The (1, |E|) diagonals of one orientation block's powers; its engine,
+    and with it every power written into ``buffers``, is dropped on return."""
+    cache = power_cache(block[None], modulus, buffers=buffers)
+    return {p: cache.diag_array(p) for p in powers}
 
 
 def bar_power_diag(

@@ -289,7 +289,7 @@ def parse_graph6(text: str) -> Graph:
     tr, tc = np.tril_indices(v, -1)  # (j, i) pairs in graph6 bit order
     mat[tr, tc] = bits[:need]
     mat |= mat.T
-    return Graph.from_dense(mat, _validated=True)
+    return _from_decoded(mat)
 
 
 def write_graph6(g: Graph) -> str:
@@ -356,8 +356,17 @@ def parse_adjacency_rows(text: str) -> list[Graph]:
             raise GraphFormatError(
                 f"block {bi}, line {int(r)}: asymmetric entry at column {int(c)}"
             )
-        graphs.append(Graph.from_dense(mat, _validated=True))
+        graphs.append(_from_decoded(mat))
     return graphs
+
+
+def _from_decoded(mat: np.ndarray) -> Graph:
+    """The graph of a freshly decoded, validated uint8 0/1 matrix that no
+    caller holds; the matrix, made read-only, becomes its dense cache."""
+    g = Graph.from_dense(mat, _validated=True)
+    mat.flags.writeable = False
+    g._dense = mat
+    return g
 
 
 def detect_format(text: str) -> str:

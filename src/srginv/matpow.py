@@ -7,8 +7,14 @@ a small integer matrix. Diagonals never form the full power: with
     diag(M^p)[i] = sum_j (M^h)[i, j] * (M^(p-h))[j, i],
 
 which holds for any square matrix, so only the half powers are formed
-(powers 3..9 need M^2..M^5; powers 2..5 need M^2 and M^3) and the
-diagonal is their row dot product.
+and the diagonal is their row dot product. An odd ``p = 2h + 1`` on a
+symmetric base, with M^h formed and M^(h+1) not, reads its diagonal as
+the row dot of M^(2h) and M instead: M^(2h) is the syrk square of M^h,
+half the flops of the product M^h @ M. That happens only while the
+square's bound ``k * max|M^h|**2`` is <= 2**53: it then runs in float64,
+its values are exact, and no entry of it can overflow. Requested in
+order, powers 2..5 of a symmetric base form M^2 and M^4 (M^2 and M^3 on
+a general one), and powers 3..9 form M^2, M^3, M^4 and M^8 (M^2..M^5).
 
 One rule places every value, bounded by magnitude: a product or row dot
 product with bound ``inner * max|a| * max|b|`` <= 2**53 runs in float64
@@ -195,10 +201,13 @@ class PowerCache:
     ``power(p)`` squares repeatedly, with one extra multiply for odd
     exponents; it returns exact values, or in modular mode past int64
     values reduced mod ``p1 * p2``. ``diag_array(p)`` forms only the half
-    powers. Exact (m, k) diagonals and (m,) traces are int64, or object
-    past int64; modular ones are the residues mod ``p1 * p2``, the exact
-    value below it: int64 when the exact values are non-negative int64,
-    else object. A trace is the residue of the sum of its true diagonal.
+    powers, and for an odd p = 2h + 1 on a symmetric base M^(2h) in place
+    of a missing M^(h+1) while that square stays on float64 (see the
+    module docstring). Exact (m, k) diagonals and (m,) traces are int64,
+    or object past int64; modular ones are the residues mod ``p1 * p2``,
+    the exact value below it: int64 when the exact values are non-negative
+    int64, else object. A trace is the residue of the sum of its true
+    diagonal.
 
     ``buffers`` are float64 arrays of the base's shape that the float64
     base and powers are written into, as far as they last. ``power`` may
@@ -259,6 +268,11 @@ class PowerCache:
             return self._reduced(raw(_as(a, object), _as(b, object)))
         return checked(a, b, amax=amax, bmax=bmax, **kwargs)
 
+    def _squares_exactly(self, h: int) -> bool:
+        """Whether the square of power ``h`` runs as syrk in float64."""
+        bound = self._pows[h].shape[-1] * self._max[h] ** 2
+        return self._symmetric and _tier(bound) is np.float64
+
     def power(self, p: int) -> np.ndarray:
         if p < 1:
             raise ValueError(f"power must be >= 1, got {p}")
@@ -280,8 +294,12 @@ class PowerCache:
         if got is None:
             h = p // 2
             if h:
-                self.power(h), self.power(p - h)
-                got = self._combine(checked_rowdot, _rowdot, h, p - h)
+                i, j = h, p - h
+                self.power(h)
+                if j not in self._pows and self._squares_exactly(h):
+                    i, j = 2 * h, 1  # odd p: M^(2h) by syrk, not M^(h+1)
+                self.power(i), self.power(j)
+                got = self._combine(checked_rowdot, _rowdot, i, j)
             else:
                 got = np.diagonal(self._pows[1], axis1=-2, axis2=-1)
                 if self.modulus is None or got.dtype != object:  # reduced ones may pass u64
@@ -304,33 +322,33 @@ class PowerCache:
     def trace_array(self, p: int) -> np.ndarray:
         return self._residues(_row_sums(self._diag(p)))
 
-    def half_sum(self, p: int) -> tuple[np.ndarray, int]:
-        """The diagonal of ``(M0^p + M1^p) / 2`` over a stack of two, and
-        the trace of ``M0^p + M1^p``, as :meth:`diag_array` reports them.
-
-        Every diagonal sum must be even. Exact sums halve exactly; in
-        modular mode a sum may be reduced mod ``p1 * p2``, so it is
-        multiplied by the inverse of 2 there, which needs odd primes.
-        """
-        if self._pows[1].shape[0] != 2:
-            raise ValueError(f"half_sum needs a stack of two, got {self._pows[1].shape[0]}")
-        total = _row_sums(self._diag(p).T)
-        trace = _row_sums(total[None])
-        if self.modulus is None:
-            half = total // 2
-        else:
-            n = self.modulus[0] * self.modulus[1]
-            if n % 2 == 0:
-                raise ValueError(f"halving mod {n} needs odd primes")
-            half = _as(total, object) * pow(2, -1, n) % n
-        return half, self._residues(trace).tolist()[0]
-
     def diagonals(self, p: int) -> list[tuple[int, ...]]:
         """Unsorted diagonal of the p-th power, one tuple per stacked matrix."""
         return [tuple(row) for row in self.diag_array(p).tolist()]
 
     def traces(self, p: int) -> list[int]:
         return self.trace_array(p).tolist()
+
+
+def half_sum(diags: np.ndarray, modulus: tuple[int, int] | None = None) -> tuple[np.ndarray, int]:
+    """Halves of the entrywise sum of a stack of two diagonals, and the
+    trace of that sum, from (2, k) diagonals as :meth:`PowerCache.diag_array`
+    reports them under ``modulus``.
+
+    Every entrywise sum must be even. Exact sums halve exactly; in modular
+    mode a sum of residues is multiplied by the inverse of 2 mod
+    ``p1 * p2``, which needs odd primes, and the trace is its residue.
+    """
+    if diags.shape[0] != 2:
+        raise ValueError(f"half_sum needs a stack of two, got {diags.shape[0]}")
+    total = _row_sums(diags.T)
+    trace = _row_sums(total[None]).tolist()[0]
+    if modulus is None:
+        return total // 2, trace
+    n = modulus[0] * modulus[1]
+    if n % 2 == 0:
+        raise ValueError(f"halving mod {n} needs odd primes")
+    return _as(total, object) * pow(2, -1, n) % n, trace % n
 
 
 class ModularPowerCache(PowerCache):

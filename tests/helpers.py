@@ -111,3 +111,27 @@ def dense_bar_power_diag(g: Graph, p: int) -> dict[tuple[int, int], int]:
                     m[x * v + y, c * v + d] = int(a[x, y]) * int(a[x, c]) * int(a[y, d])
     pw = np.linalg.matrix_power(m, p)
     return {(x, y): int(pw[x * v + y, x * v + y]) for x in range(v) for y in range(v)}
+
+
+def directed_bar_power_diags(g: Graph, powers) -> dict[int, list[int]]:
+    """Diagonals of powers of the bar matrix restricted to the directed
+    edges, in the order of :func:`directed_edges`, built from the
+    definition: entry ``A_ac * A_bd`` at ((a,b), (c,d)).
+
+    The matrix is symmetric with row sums at most deg^2, so int64 holds its
+    powers up to ``(deg^2)^h < 2**63``; a diagonal is the object row dot of
+    the two half powers.
+    """
+    a = g.dense().astype(np.int64)
+    pairs = directed_edges(g)
+    bar = np.array([[a[x, c] * a[y, d] for c, d in pairs] for x, y in pairs])
+    half = {}
+    out = {}
+    for p in powers:
+        h = p // 2
+        for i in (h, p - h):
+            if i not in half:
+                assert int(bar.sum(axis=1).max()) ** i < 2**63
+                half[i] = np.linalg.matrix_power(bar, i).astype(object)
+        out[p] = [int(x) for x in (half[h] * half[p - h]).sum(axis=1)]
+    return out

@@ -1,4 +1,6 @@
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +20,15 @@ from srginv.vertexinv import InvariantMode
 from helpers import (
     TIERS,
     dense_bar_power_diag,
+    directed_bar_power_diags,
     directed_edges,
     er_graph,
     fixture_graphs,
     residue,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from latin import latin_graphs  # noqa: E402
 
 FX = fixture_graphs()
 TRACE = InvariantMode.TRACE
@@ -269,13 +275,55 @@ def test_bar_tables_in_sequence_equal_fresh_tables(monkeypatch):
     bufs = edgeinv._thread_buffers.bufs
     got.append(bar_diag_table(g2, powers))
     assert edgeinv._thread_buffers.bufs is bufs
-    assert buffered == [True, True] * 2
+    assert buffered == [True, True] * 4  # B^2 and B^4 of each block of each table
     assert got == want
     for table in got:  # nothing points into a buffer
         for diag in table.values():
             assert all(type(x) is int for x in (*diag.per_pair, *diag.sorted_values, diag.trace))
             for array in (diag.values, diag.edge_of):
                 assert not any(np.shares_memory(array, buf) for buf in bufs)
+
+
+def test_bar_buffers_hold_one_block(monkeypatch):
+    # the blocks are powered one at a time, into three buffers of one block
+    monkeypatch.setattr(edgeinv, "_thread_buffers", threading.local())
+    graphs, _ = latin_graphs(6, 1, 3, paratopes=True)
+    edges = graphs[0].edge_count
+    tables = [bar_diag_table(graphs[0], (2, 3, 4, 5))]
+    bufs = edgeinv._thread_buffers.bufs
+    assert len(bufs) == 3
+    assert all(b.dtype == np.float64 and b.shape == (1, edges, edges) for b in bufs)
+    before = list(bufs)
+    tables.append(bar_diag_table(graphs[1], (2, 3, 4, 5)))
+    assert edgeinv._thread_buffers.bufs is bufs
+    assert all(a is b for a, b in zip(bufs, before))
+    for table in tables:
+        for diag in table.values():
+            for array in (diag.values, diag.edge_of):
+                assert not any(np.shares_memory(array, buf) for buf in bufs)
+
+
+def test_t8_tables_past_the_odd_square_equal_the_directed_oracle(monkeypatch):
+    # requested together, odd powers 5 and 9 read M^4 and M^8 of both
+    # blocks; at 11 the square of M^5 passes 2^53 in B+, which keeps the
+    # (M^5, M^6) split, and not in B-, which reads M^10
+    g, powers = triangular_graph(8), tuple(range(2, 12))
+    engines = []
+    real = edgeinv.power_cache
+
+    def recording(*args, **kwargs):
+        engines.append(real(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(edgeinv, "power_cache", recording)
+    table = bar_diag_table(g, powers)
+    plus, minus = engines
+    assert sorted(plus._pows) == [1, 2, 3, 4, 5, 6, 8]
+    assert sorted(minus._pows) == [1, 2, 3, 4, 5, 8, 10]
+    want = directed_bar_power_diags(g, powers)
+    for p in powers:
+        assert list(table[p].per_pair) == want[p]
+        assert table[p].trace == sum(want[p])
 
 
 @pytest.mark.parametrize("tier", ["int64", "object"])

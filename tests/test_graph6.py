@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 
 from srginv.graph import (
@@ -245,3 +246,26 @@ def test_graph_validation():
         Graph(1, [0b1])
     with pytest.raises(ValueError, match="outside"):
         Graph(1, [0b10])
+
+
+@pytest.mark.parametrize("name", ["petersen", "paley13", "path4"])
+def test_parsed_graph_keeps_its_decoded_matrix(name):
+    g = fixture_graphs()[name]
+    rows = "\n".join("".join(map(str, row)) for row in g.dense().tolist())
+    for parsed in (parse_graph6(write_graph6(g)), *parse_adjacency_rows(rows)):
+        dense = parsed._dense  # cached at parse time, no unpacking of the rows
+        assert dense is not None and parsed.dense() is dense
+        assert dense.dtype == np.uint8 and dense.flags.c_contiguous
+        assert not dense.flags.writeable
+        assert np.array_equal(dense, g.dense())
+        assert Graph(parsed.v, parsed.rows).dense().tolist() == dense.tolist()
+
+
+def test_from_dense_copies_the_callers_matrix():
+    mat = np.zeros((3, 3), dtype=np.uint8)
+    mat[0, 1] = mat[1, 0] = 1
+    g = Graph.from_dense(mat)
+    mat[1, 2] = mat[2, 1] = 1
+    assert mat.flags.writeable
+    assert g.edge_count == 1 and not g.dense()[1, 2]
+    assert not np.shares_memory(g.dense(), mat)

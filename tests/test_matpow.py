@@ -14,6 +14,7 @@ from srginv.matpow import (
     PowerCache,
     checked_matmul,
     checked_rowdot,
+    half_sum,
     power_cache,
 )
 from srginv.vertexinv import NeighborhoodPowerCache
@@ -27,6 +28,11 @@ def random_01_stack(m, k, seed):
         [[[rng.randint(0, 1) for _ in range(k)] for _ in range(k)] for _ in range(m)],
         dtype=np.uint8,
     )
+
+
+def random_symmetric_stack(m, k, seed):
+    upper = np.triu(random_01_stack(m, k, seed))
+    return upper + np.swapaxes(np.triu(upper, 1), 1, 2)
 
 
 def exact_power(mat, p):
@@ -202,6 +208,52 @@ def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
             assert halves.diagonals(p) == [tuple(row) for row in want]
 
 
+@pytest.mark.parametrize("modulus", [None, (5, 7), DEFAULT_MODULUS], ids=["exact", "5,7", "61bit"])
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_symmetric_kernel_matches_object_powers(tier, modulus, monkeypatch):
+    # on the float64 tier odd powers read diag(M^(2h+1)) off M^(2h) and M;
+    # the last stack passes int64 at M^2, so the modular engines reduce it
+    for name, value in TIERS[tier].items():
+        monkeypatch.setattr(matpow, name, value)
+    sym = random_symmetric_stack(3, 6, 600)
+    stacks = [sym, sym.astype(np.int64) * -3 + 1]
+    if modulus is not None:
+        stacks.append(sym.astype(object) * (2**40 + 7))
+    for i, stack in enumerate(stacks):
+        cache = PowerCache(stack, modulus)
+        for p in range(1, 14):
+            want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
+            got = cache.diag_array(p).tolist()
+            assert got == [[residue(x, modulus) for x in row] for row in want]
+            assert cache.traces(p) == [residue(sum(row), modulus) for row in want]
+        if tier == "float64" and i < 2:
+            assert {8, 10, 12} <= cache._pows.keys()
+
+
+@pytest.mark.parametrize(
+    "powers, symmetric, general",
+    [(range(2, 6), [1, 2, 4], [1, 2, 3]), (range(3, 10), [1, 2, 3, 4, 8], [1, 2, 3, 4, 5])],
+)
+def test_odd_powers_square_a_half_power(powers, symmetric, general):
+    # a square runs as syrk only on a symmetric base; others keep (h, h + 1)
+    for stack, formed in ((random_symmetric_stack(3, 6, 601), symmetric),
+                          (random_01_stack(3, 6, 601), general)):
+        cache = PowerCache(stack)
+        for p in powers:
+            cache.diag_array(p)
+        assert sorted(cache._pows) == formed
+
+
+def test_odd_power_keeps_the_split_past_the_square_bound():
+    # M^10 of the 8 x 8 ones has entries 8^9: its square's bound 8^19 passes
+    # 2^53, while M^10 @ M stays at 8^10, so M^11 is formed instead
+    ones = np.ones((1, 8, 8), dtype=np.uint8)
+    assert 8 * (8**9) ** 2 > 2**53 >= 8 * 8**9
+    cache = PowerCache(ones)
+    assert cache.diag_array(21).tolist() == [[8**20] * 8]
+    assert sorted(cache._pows) == [1, 2, 4, 5, 10, 11]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_modular_diagonal_kernel_matches_residues(seed):
     # the multiplier pushes entries past both primes, so reduction matters
@@ -245,8 +297,8 @@ def test_traces_past_int64_stay_exact():
 def test_kernel_forms_only_half_powers(modulus, matmul_calls):
     g = paley_graph(13)
     bar_diag_table(g, (2, 3, 4, 5), modulus=modulus)
-    # B±^2 and B±^3, batched over the two |E| x |E| orientation blocks
-    assert matmul_calls == [(2, 39, 39)] * 2
+    # B^2 and B^4 of each |E| x |E| orientation block, one block at a time
+    assert matmul_calls == [(1, 39, 39)] * 4
     matmul_calls.clear()
     NeighborhoodPowerCache(g, modulus).trace(3)
     assert len(matmul_calls) == 1  # the stacked square of the neighborhood matrices
@@ -259,10 +311,11 @@ def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
         monkeypatch.setattr(matpow, name, value)
     # (M + N)^p + (M - N)^p sums the words with an even number of N's, twice
     m, n = random_01_stack(2, 6, 500).astype(np.int64)
-    cache = PowerCache(np.stack((m + n, m - n)), modulus)
+    plus, minus = PowerCache((m + n)[None], modulus), PowerCache((m - n)[None], modulus)
     for p in range(1, 12):
         total = np.diagonal(exact_power(m + n, p) + exact_power(m - n, p))
-        half, trace = cache.half_sum(p)
+        diags = np.concatenate((plus.diag_array(p), minus.diag_array(p)))
+        half, trace = half_sum(diags, modulus)
         if modulus is None:
             assert half.tolist() == [int(x) // 2 for x in total]
             assert trace == int(sum(total))
@@ -273,16 +326,16 @@ def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
 
 def test_half_sum_past_int64_stays_exact():
     # each diagonal entry is 2^62 (int64 path); their sum 2^63 is not
-    half, trace = PowerCache(np.ones((2, 2, 2), dtype=np.uint8)).half_sum(63)
+    half, trace = half_sum(PowerCache(np.ones((2, 2, 2), dtype=np.uint8)).diag_array(63))
     assert half.tolist() == [2**62, 2**62]
     assert trace == 2**64
 
 
 def test_half_sum_needs_two_matrices_and_odd_primes():
     with pytest.raises(ValueError):
-        PowerCache(random_01_stack(3, 4, 1)).half_sum(2)
+        half_sum(PowerCache(random_01_stack(3, 4, 1)).diag_array(2))
     with pytest.raises(ValueError):
-        PowerCache(random_01_stack(2, 4, 1), (2, 3)).half_sum(2)
+        half_sum(PowerCache(random_01_stack(2, 4, 1), (2, 3)).diag_array(2), (2, 3))
 
 
 def test_modulus_parts_must_be_coprime():

@@ -174,12 +174,12 @@ def test_each_power_is_formed_once(name, matmul_calls):
     assert len(report.stages) == 17 and report.final_classes == 1
     kmax = max(g.degree(a) for a in range(g.v))
     per_graph = {
-        # P2 for the first stage, then P2..P5 for powers 3..9 in one pass
+        # P2 for the first stage, then P2, P4, P3 and P8 for powers 3..9 in one pass
         (g.v, kmax, kmax): 5,
-        # B+- squared and cubed
-        (2, g.edge_count, g.edge_count): 2,
+        # B^2 and B^4 of each orientation block
+        (1, g.edge_count, g.edge_count): 4,
     }
-    if ob.refined:  # the tail's P2..P5, in one pass
+    if ob.refined:  # the tail's P2, P4, P3 and P8, in one pass
         tk = max(tail.degree(a) for a in range(tail.v))
         per_graph[(tail.v, tk, tk)] = 4
     assert name == "rook4" or ob.refined
