@@ -16,7 +16,6 @@ from .graph import (
     parse_graph6,
     parse_graphs,
     srg_diagnosis,
-    trace_power_signature,
     write_graph6,
 )
 from .matpow import DEFAULT_MODULUS, MatrixOverflowError
@@ -24,26 +23,15 @@ from .vertexinv import (
     GraphSignature,
     InvariantMode,
     OutblockSignature,
-    VertexPartition,
-    VertexSignature,
     graph_signature,
-    nbhd_power_diag,
     outblock_signature,
-    partition_vertices,
-    vertex_signatures,
 )
-from .edgeinv import (
-    BarMatrix,
-    EdgePartition,
-    bar_power_diag,
-    build_bar_matrix,
-    edge_partition,
-)
+from .edgeinv import BarMatrix, build_bar_matrix
 from .isomorphism import (
     IsoResult,
+    VertexPartition,
     apply_permutation,
     are_isomorphic,
-    count_closed_walks,
     random_relabel,
 )
 from .pipeline import (

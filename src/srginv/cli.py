@@ -20,7 +20,9 @@ import json
 import sys
 from pathlib import Path
 
-from .edgeinv import bar_diag_table, partition_edges
+import numpy as np
+
+from .edgeinv import bar_diag_table
 from .graph import Graph, GraphFormatError, srg_diagnosis
 from .matpow import DEFAULT_MODULUS, MatrixOverflowError, check_powers
 from .pipeline import (
@@ -32,12 +34,7 @@ from .pipeline import (
     load_dataset,
     read_graphs,
 )
-from .vertexinv import (
-    InvariantMode,
-    partition_vertices,
-    row_sort_key,
-    vertex_signatures,
-)
+from .vertexinv import InvariantMode, NeighborhoodPowerCache
 
 def _parse_powers(text: str, minimum: int) -> tuple[int, ...]:
     try:
@@ -91,41 +88,54 @@ def cmd_check_srg(args) -> int:
     return 0 if all_srg else 2
 
 
+def _print_graphs(args, powers: tuple[int, ...], out: list[dict], lines) -> int:
+    """Print the per-graph results ``out`` of vertex-inv or edge-inv as one
+    JSON object, or as the table lines ``lines`` gives for each graph."""
+    if args.out == "json":
+        payload = {
+            "mode": args.mode,
+            "powers": list(powers),
+            "arithmetic": "mod-reduced" if args.modulus else "exact",
+            "graphs": out,
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for g in out:
+            print("\n".join(lines(g)))
+    return 0
+
+
 def cmd_vertex_inv(args) -> int:
     mode = InvariantMode(args.mode)
     powers = _parse_powers(args.powers, 1)
     modulus = _modulus(args)
     out = []
     for name, idx, g in read_graphs(args.files or ["-"]):
-        sigs = vertex_signatures(g, powers, mode, modulus=modulus)
-        part = partition_vertices(sigs)
-        rows = sorted((s.values for s in sigs), key=row_sort_key)
+        nbhd = NeighborhoodPowerCache(g, modulus)
+        values = nbhd.signature_values(powers, mode)
+        rows = nbhd.signature(powers, mode).rows
+        # one block per distinct row, in the sorted order of the rows
+        blocks: dict[tuple[int, ...], list[int]] = {row: [] for row in rows}
+        for a, row in enumerate(values):
+            blocks[row].append(a)
         params, _ = srg_diagnosis(g)
         out.append(
             {
                 "source": name,
                 "index": idx,
                 "params": params.key() if params else None,
-                "vertex_signatures": [list(s.values) for s in sigs],
-                "graph_signature": [list(r) for r in rows],
-                "partition": [list(b) for b in part.blocks],
-                "blocks": len(part.blocks),
+                "vertex_signatures": [list(row) for row in values],
+                "graph_signature": [list(row) for row in rows],
+                "partition": list(blocks.values()),
+                "blocks": len(blocks),
             }
         )
-    payload = {
-        "mode": args.mode,
-        "powers": list(powers),
-        "arithmetic": "mod-reduced" if modulus else "exact",
-        "graphs": out,
-    }
-    if args.out == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for g in out:
-            print(f"{g['source']}:{g['index']}  params={g['params']}  blocks={g['blocks']}")
-            for row in g["graph_signature"]:
-                print("  " + " ".join(map(str, row)))
-    return 0
+
+    def lines(g: dict) -> list[str]:
+        head = f"{g['source']}:{g['index']}  params={g['params']}  blocks={g['blocks']}"
+        return [head, *("  " + " ".join(map(str, row)) for row in g["graph_signature"])]
+
+    return _print_graphs(args, powers, out, lines)
 
 
 def cmd_edge_inv(args) -> int:
@@ -135,39 +145,33 @@ def cmd_edge_inv(args) -> int:
     out = []
     for name, idx, g in read_graphs(args.files or ["-"]):
         table = bar_diag_table(g, powers, modulus=modulus)
-        part = partition_edges(g, table[powers[-1]])
+        # both orientations of an edge share its value
         values = {
             str(p): (
                 [table[p].trace]
                 if mode is InvariantMode.TRACE
-                else list(table[p].sorted_values)
+                else np.repeat(np.sort(table[p].values), 2).tolist()
             )
             for p in powers
         }
+        heads, tails = np.nonzero(np.triu(g.dense()))
+        triples = zip(heads.tolist(), tails.tolist(), table[powers[-1]].values.tolist())
         out.append(
             {
                 "source": name,
                 "index": idx,
                 "directed_edges": 2 * g.edge_count,
                 "values": values,
-                "partition": part.undirected_triples(),
+                "partition": [list(t) for t in triples],
                 "partition_power": powers[-1],
             }
         )
-    payload = {
-        "mode": args.mode,
-        "powers": list(powers),
-        "arithmetic": "mod-reduced" if modulus else "exact",
-        "graphs": out,
-    }
-    if args.out == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for g in out:
-            print(f"{g['source']}:{g['index']}  directed edges={g['directed_edges']}")
-            for p, vals in g["values"].items():
-                print(f"  p={p}: {' '.join(map(str, vals))}")
-    return 0
+
+    def lines(g: dict) -> list[str]:
+        head = f"{g['source']}:{g['index']}  directed edges={g['directed_edges']}"
+        return [head, *(f"  p={p}: {' '.join(map(str, vals))}" for p, vals in g["values"].items())]
+
+    return _print_graphs(args, powers, out, lines)
 
 
 def cmd_compare(args) -> int:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matpow import power_cache
-
 # graph6 caps out at 2^18 vertices for this package; the dense kernels are
 # meant for the SRG dataset scale (v <= a few hundred) anyway.
 MAX_VERTICES = 1 << 18
@@ -440,18 +438,3 @@ def check_srg(g: Graph) -> SrgParams | None:
     """
     params, _ = srg_diagnosis(g)
     return params
-
-
-def trace_power_signature(
-    g: Graph, pmax: int, *, modulus: tuple[int, int] | None = None
-) -> tuple[int, ...]:
-    """(Tr(A^1), ..., Tr(A^pmax)) of the full adjacency matrix, exact.
-
-    The global trace-power similarity baseline; equal for isomorphic
-    graphs, and equal across all SRGs sharing parameters, which is why the
-    ladder works on restricted matrices instead.
-    """
-    if not 1 <= pmax <= g.v:
-        raise ValueError(f"pmax must be in 1..{g.v}, got {pmax}")
-    cache = power_cache(g.dense()[None, :, :], modulus)
-    return tuple(cache.traces(p)[0] for p in range(1, pmax + 1))

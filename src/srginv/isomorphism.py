@@ -5,6 +5,13 @@ to mapping each invariant block onto the like-signatured block of the
 other graph, with incremental adjacency consistency maintained as whole
 bit rows. It is complete (never wrong); when the node budget runs out it
 returns an explicit "undecided" rather than guessing.
+
+Without caller-supplied blocks, each vertex ``a`` is keyed by the sorted
+values ``2·e(N(a) ∩ N(b))`` over its neighbors ``b``: the sorted diagonal
+of ``(A|N_a)^3``, the ladder's first sorted-diagonal stage. They are
+counted here from bit rows and popcounts alone, so a non-isomorphism
+verdict from differing blocks does not rest on the matrix-power code
+whose splits it checks.
 """
 
 from __future__ import annotations
@@ -12,25 +19,28 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph
-from .vertexinv import (
-    InvariantMode,
-    VertexPartition,
-    partition_vertices,
-    vertex_signatures,
-)
+from .graph import Graph, _bits_of
 
 Permutation = tuple[int, ...]
 
 DEFAULT_NODE_BUDGET = 10**8
 
-# powers used when the caller supplies no blocks; cheap and usually enough
-# to cut the search space hard on SRG inputs
-_DEFAULT_BLOCK_POWERS = (3, 4)
-
 ISOMORPHIC = "isomorphic"
 NON_ISOMORPHIC = "non-isomorphic"
 UNDECIDED = "undecided"
+
+
+@dataclass(frozen=True)
+class VertexPartition:
+    """Blocks of vertices sharing identical signatures.
+
+    Blocks are ordered by ascending signature (shorter vectors first, then
+    elementwise); vertices inside a block ascend. Automorphisms can only
+    permute vertices within a block.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]
+    signatures: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -66,39 +76,24 @@ def random_relabel(g: Graph, seed: int) -> tuple[Graph, Permutation]:
     return apply_permutation(g, perm), perm
 
 
-def count_closed_walks(g: Graph, start: int, length: int, allowed) -> int:
-    """Walks of exactly ``length`` steps from start back to start that never
-    leave ``allowed``, counted by exhaustive DFS.
-
-    Independent of the matrix-power kernels on purpose: this is the oracle
-    the diagonal entries of restricted powers are checked against.
-    """
-    allowed = frozenset(allowed)
-    if start not in allowed:
-        raise ValueError(f"start vertex {start} is not in the allowed set")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    g._check_vertex(start)
-
-    def walk(x: int, steps: int) -> int:
-        if steps == length:
-            return 1 if x == start else 0
-        total = 0
-        for y in g.neighborhood(x):
-            if y in allowed:
-                total += walk(y, steps + 1)
-        return total
-
-    return walk(start, 0)
-
-
 class _BudgetExceeded(Exception):
     pass
 
 
 def _blocks_for(g: Graph) -> VertexPartition:
-    sigs = vertex_signatures(g, _DEFAULT_BLOCK_POWERS, InvariantMode.SORTED_DIAG)
-    return partition_vertices(sigs)
+    """Vertices grouped by their sorted ``2·e(N(a) ∩ N(b))`` over ``b`` in
+    ``N(a)``: each ordered pair of adjacent common neighbors ``c, d`` of
+    ``a`` and ``b`` is one closed 3-walk ``b c d b`` inside ``N(a)``."""
+    rows = g.rows
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for a in range(g.v):
+        values = []
+        for b in _bits_of(rows[a]):
+            common = rows[a] & rows[b]
+            values.append(sum((rows[c] & common).bit_count() for c in _bits_of(common)))
+        groups.setdefault(tuple(sorted(values)), []).append(a)
+    ordered = sorted(groups, key=lambda key: (len(key), key))
+    return VertexPartition(tuple(tuple(groups[key]) for key in ordered), tuple(ordered))
 
 
 def are_isomorphic(

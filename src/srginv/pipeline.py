@@ -139,7 +139,7 @@ class _GraphState:
     ``nbhd`` holds the vertex powers' diagonals and traces until the
     ladder's last vertex stage, when ``_walk_ladder`` takes the
     single-block flag and drops it; ``_edge`` holds each edge power's
-    table: |E| values, the directed-edge index and the trace.
+    table: |E| values and the trace.
     """
 
     __slots__ = ("graph", "modulus", "vertex_powers", "nbhd", "_edge")
@@ -444,25 +444,11 @@ def read_graphs(paths) -> list[tuple[str, int, Graph]]:
                 text = read()
             except (OSError, UnicodeDecodeError) as e:
                 raise DatasetError(f"{source}: {e}") from None
-            entries.extend(_named_graphs(text, source))
-    return entries
-
-
-def _named_graphs(text: str, source: str) -> list[tuple[str, int, Graph]]:
-    try:
-        graphs = parse_graphs(text)
-    except GraphFormatError as e:
-        raise DatasetError(f"{source}: {e}") from None
-    return [(source, idx, g) for idx, g in enumerate(graphs)]
-
-
-def _srg_entries(named, allow_non_srg: bool) -> list[tuple[Graph, SrgParams | None]]:
-    entries = []
-    for source, idx, g in named:
-        params, reason = srg_diagnosis(g)
-        if reason is not None and not allow_non_srg:
-            raise DatasetError(f"{source}: graph {idx}: {reason}")
-        entries.append((g, params))
+            try:
+                graphs = parse_graphs(text)
+            except GraphFormatError as e:
+                raise DatasetError(f"{source}: {e}") from None
+            entries.extend((source, idx, g) for idx, g in enumerate(graphs))
     return entries
 
 
@@ -473,17 +459,13 @@ def load_dataset(paths, *, allow_non_srg: bool = False) -> list[tuple[Graph, Srg
     rejections name the source, the graph index within it, and the failed
     condition.
     """
-    return _srg_entries(read_graphs(paths), allow_non_srg)
-
-
-def load_dataset_text(
-    text: str,
-    *,
-    allow_non_srg: bool = False,
-    source: str = "<input>",
-) -> list[tuple[Graph, SrgParams | None]]:
-    """``load_dataset`` on text already in memory, named ``source``."""
-    return _srg_entries(_named_graphs(text, source), allow_non_srg)
+    entries = []
+    for source, idx, g in read_graphs(paths):
+        params, reason = srg_diagnosis(g)
+        if reason is not None and not allow_non_srg:
+            raise DatasetError(f"{source}: graph {idx}: {reason}")
+        entries.append((g, params))
+    return entries
 
 
 @dataclass

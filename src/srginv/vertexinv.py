@@ -12,8 +12,10 @@ the largest degree kmax; a padded slot is an isolated vertex, so it adds
 zeros to the diagonals and nothing to traces or magnitudes. Each power's
 diagonals stay one (v, kmax) array, each row sorted with its padding
 after the real entries. A :class:`GraphSignature` is those arrays as one
-row-sorted table, compared as bytes; tuples of Python ints are built only
-where the API returns them.
+row-sorted table, compared as bytes. Tuples of Python ints are built only
+when read: :attr:`GraphSignature.rows` and
+:meth:`NeighborhoodPowerCache.signature_values`, the per-vertex values
+``srginv vertex-inv`` prints.
 """
 
 from __future__ import annotations
@@ -30,12 +32,6 @@ from .matpow import check_powers, fit_int64, power_cache
 class InvariantMode(enum.Enum):
     TRACE = "trace"
     SORTED_DIAG = "sortdiag"
-
-
-@dataclass(frozen=True)
-class VertexSignature:
-    vertex: int
-    values: tuple[int, ...]
 
 
 def row_sort_key(values: tuple[int, ...]):
@@ -83,10 +79,10 @@ class GraphSignature:
     order: the degree sorts first, as the row length does there. Two
     signatures of the same mode and modulus are equal exactly when their
     ``rows`` are, and compare by table bytes; ``rows``, the value tuples
-    the API returns, are built on first use.
+    the API returns, are built on each read.
     """
 
-    __slots__ = ("_key", "_table", "_layout", "_rows")
+    __slots__ = ("_key", "_table", "_layout")
 
     def __init__(self, table: np.ndarray, mode: InvariantMode, npowers: int, modulus):
         if table.dtype == object:
@@ -97,13 +93,10 @@ class GraphSignature:
             body = (self._table.shape, self._table.tobytes())
         self._layout = (mode, npowers)
         self._key = (mode, modulus, body)
-        self._rows = None
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        if self._rows is None:
-            self._rows = tuple(sorted(_value_rows(self._table, *self._layout), key=row_sort_key))
-        return self._rows
+        return tuple(sorted(_value_rows(self._table, *self._layout), key=row_sort_key))
 
     def __eq__(self, other):
         if not isinstance(other, GraphSignature):
@@ -115,19 +108,6 @@ class GraphSignature:
 
     def __repr__(self) -> str:
         return f"GraphSignature(rows={self.rows!r})"
-
-
-@dataclass(frozen=True)
-class VertexPartition:
-    """Blocks of vertices sharing identical signatures.
-
-    Blocks are ordered by ascending signature (shorter vectors first, then
-    elementwise); vertices inside a block ascend. Automorphisms can only
-    permute vertices within a block.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    signatures: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -211,49 +191,11 @@ class NeighborhoodPowerCache:
             (x == x[:1]).all() for x in (self.degrees, *(self._diag[p] for p in powers))
         )
 
-    def diag(self, p: int) -> list[tuple[int, ...]]:
-        return self.signature_values((p,), InvariantMode.SORTED_DIAG)
-
-    def trace(self, p: int) -> list[int]:
-        return [t for (t,) in self.signature_values((p,), InvariantMode.TRACE)]
-
     def signature_values(
         self, powers: tuple[int, ...], mode: InvariantMode
     ) -> list[tuple[int, ...]]:
         """Per-vertex concatenation across powers, in vertex order."""
         return _value_rows(self._table(powers, mode), mode, len(powers))
-
-
-def nbhd_power_diag(
-    g: Graph,
-    a: int,
-    p: int,
-    mode: InvariantMode,
-    *,
-    modulus: tuple[int, int] | None = None,
-) -> tuple[int, ...]:
-    """Trace (one element) or ascending diagonal of (A|_{N_a})^p."""
-    g._check_vertex(a)
-    if p < 1:
-        raise ValueError(f"power must be >= 1, got {p}")
-    nb = g.neighborhood(a)
-    sub = g.dense()[np.ix_(nb, nb)]
-    cache = power_cache(sub[None, :, :], modulus)
-    if mode is InvariantMode.TRACE:
-        return (cache.traces(p)[0],)
-    return tuple(sorted(cache.diagonals(p)[0]))
-
-
-def vertex_signatures(
-    g: Graph,
-    powers,
-    mode: InvariantMode,
-    *,
-    modulus: tuple[int, int] | None = None,
-) -> list[VertexSignature]:
-    powers = check_powers(powers)
-    values = NeighborhoodPowerCache(g, modulus).signature_values(powers, mode)
-    return [VertexSignature(a, vals) for a, vals in enumerate(values)]
 
 
 def graph_signature(
@@ -265,25 +207,6 @@ def graph_signature(
 ) -> GraphSignature:
     """Lex-sorted vertex signatures; identical for isomorphic graphs."""
     return NeighborhoodPowerCache(g, modulus).signature(check_powers(powers), mode)
-
-
-def partition_vertices(signatures) -> VertexPartition:
-    """Group vertices by identical signature vectors.
-
-    A single block is a normal outcome (the invariants could not split the
-    vertices), not an error.
-    """
-    signatures = list(signatures)
-    if not signatures:
-        raise ValueError("cannot partition an empty signature list")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for s in signatures:
-        groups.setdefault(s.values, []).append(s.vertex)
-    ordered = sorted(groups, key=row_sort_key)
-    return VertexPartition(
-        blocks=tuple(tuple(sorted(groups[key])) for key in ordered),
-        signatures=tuple(ordered),
-    )
 
 
 def outblock_signature(

@@ -3,12 +3,19 @@
 The dense tilde/bar constructions here build the full v^2 x v^2 matrices
 straight from their definitions and power them in exact object
 arithmetic; they exist to check the restricted kernels and must stay
-independent of them.
+independent of them. So do the per-vertex references: the unpadded
+neighborhood powers of :func:`nbhd_power_diag`, the walk-counting DFS of
+:func:`count_closed_walks` and the full-matrix traces of
+:func:`trace_power_signature`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
+from unittest import mock
 
 import numpy as np
 
@@ -24,7 +31,11 @@ from srginv.catalog import (
     star_graph,
     triangular_graph,
 )
+from srginv.cli import main
+from srginv.edgeinv import bar_diag_table
 from srginv.graph import Graph
+from srginv.matpow import power_cache
+from srginv.vertexinv import InvariantMode
 
 # matpow thresholds to monkeypatch, lowered so that small matrices run
 # every arithmetic path
@@ -78,10 +89,100 @@ def srg_fixtures() -> dict[str, Graph]:
     return {k: fx[k] for k in keep}
 
 
+def cli_json(argv: list[str], *graphs: Graph) -> dict:
+    """What ``srginv`` prints as JSON for ``argv`` with ``graphs`` on stdin."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("".join(g.to_graph6() + "\n" for g in graphs))):
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "-"]) == 0
+    return json.loads(out.getvalue())
+
+
+def vertex_partition(
+    g: Graph, powers, mode: InvariantMode = InvariantMode.SORTED_DIAG
+) -> list[list[int]]:
+    """The vertex blocks ``srginv vertex-inv`` prints for ``g``."""
+    argv = ["vertex-inv", "--mode", mode.value, "--powers", ",".join(map(str, powers))]
+    return cli_json(argv, g)["graphs"][0]["partition"]
+
+
+def nbhd_power_diag(
+    g: Graph,
+    a: int,
+    p: int,
+    mode: InvariantMode,
+    *,
+    modulus: tuple[int, int] | None = None,
+) -> tuple[int, ...]:
+    """Trace (one element) or ascending diagonal of (A|_{N_a})^p."""
+    g._check_vertex(a)
+    if p < 1:
+        raise ValueError(f"power must be >= 1, got {p}")
+    nb = g.neighborhood(a)
+    sub = g.dense()[np.ix_(nb, nb)]
+    cache = power_cache(sub[None, :, :], modulus)
+    if mode is InvariantMode.TRACE:
+        return (cache.traces(p)[0],)
+    return tuple(sorted(cache.diagonals(p)[0]))
+
+
+def count_closed_walks(g: Graph, start: int, length: int, allowed) -> int:
+    """Walks of exactly ``length`` steps from start back to start that never
+    leave ``allowed``, counted by exhaustive DFS.
+
+    Independent of the matrix-power kernels on purpose: this is the oracle
+    the diagonal entries of restricted powers are checked against.
+    """
+    allowed = frozenset(allowed)
+    if start not in allowed:
+        raise ValueError(f"start vertex {start} is not in the allowed set")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    g._check_vertex(start)
+
+    def walk(x: int, steps: int) -> int:
+        if steps == length:
+            return 1 if x == start else 0
+        total = 0
+        for y in g.neighborhood(x):
+            if y in allowed:
+                total += walk(y, steps + 1)
+        return total
+
+    return walk(start, 0)
+
+
+def trace_power_signature(
+    g: Graph, pmax: int, *, modulus: tuple[int, int] | None = None
+) -> tuple[int, ...]:
+    """(Tr(A^1), ..., Tr(A^pmax)) of the full adjacency matrix, exact.
+
+    The global trace-power similarity baseline; equal for isomorphic
+    graphs, and equal across all SRGs sharing parameters, which is why the
+    ladder works on restricted matrices instead.
+    """
+    if not 1 <= pmax <= g.v:
+        raise ValueError(f"pmax must be in 1..{g.v}, got {pmax}")
+    cache = power_cache(g.dense()[None, :, :], modulus)
+    return tuple(cache.traces(p)[0] for p in range(1, pmax + 1))
+
+
 def directed_edges(g: Graph) -> list[tuple[int, int]]:
-    """Both orientations of every edge, in lexicographic order: the order
-    of ``BarPowerDiag.per_pair``."""
+    """Both orientations of every edge, in lexicographic order."""
     return [(a, b) for a in range(g.v) for b in range(g.v) if g.has_edge(a, b)]
+
+
+def per_directed_edge(g: Graph, values) -> list[int]:
+    """An edge table's ``values``, one per undirected edge ``(a<b)`` in
+    lexicographic order, at each directed edge of :func:`directed_edges`."""
+    index = {(a, b): i for i, (a, b) in enumerate(e for e in directed_edges(g) if e[0] < e[1])}
+    values = values.tolist()
+    return [values[index[min(a, b), max(a, b)]] for a, b in directed_edges(g)]
+
+
+def sorted_bar_diag(g: Graph, p: int, *, modulus: tuple[int, int] | None = None) -> list[int]:
+    """The p-th bar power diagonal over the directed edges, ascending."""
+    return sorted(per_directed_edge(g, bar_diag_table(g, (p,), modulus=modulus)[p].values))
 
 
 def dense_tilde_power_diag(g: Graph, p: int) -> dict[tuple[int, int], int]:

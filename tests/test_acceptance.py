@@ -13,11 +13,10 @@ import pytest
 
 from srginv.catalog import complete_graph, rook_graph, shrikhande_graph
 from srginv.cli import main
-from srginv.graph import SrgParams, check_srg, trace_power_signature
+from srginv.graph import SrgParams, check_srg
 from srginv.isomorphism import (
     NON_ISOMORPHIC,
     are_isomorphic,
-    count_closed_walks,
     random_relabel,
 )
 from srginv.matpow import DEFAULT_MODULUS, MatrixOverflowError, power_cache
@@ -30,18 +29,22 @@ from srginv.pipeline import (
 from srginv.vertexinv import (
     InvariantMode,
     graph_signature,
-    nbhd_power_diag,
-    partition_vertices,
-    vertex_signatures,
+    NeighborhoodPowerCache,
 )
-from srginv.edgeinv import bar_diag_table, bar_power_diag
+from srginv.edgeinv import bar_diag_table
 
 from helpers import (
+    count_closed_walks,
     dense_bar_power_diag,
     dense_tilde_power_diag,
     directed_edges,
     er_graph,
     fixture_graphs,
+    nbhd_power_diag,
+    per_directed_edge,
+    sorted_bar_diag,
+    trace_power_signature,
+    vertex_partition,
 )
 
 TRACE = InvariantMode.TRACE
@@ -179,16 +182,16 @@ def test_criterion_3_permutation_invariance():
     checked = 0
     for name in fixtures:
         g = fx[name]
-        base_vertex = sorted(s.values for s in vertex_signatures(g, (3, 4), SD))
+        base_vertex = sorted(NeighborhoodPowerCache(g).signature_values((3, 4), SD))
         base_graph = graph_signature(g, (3, 4), SD)
         base_graph_tr = graph_signature(g, (3, 4), TRACE)
-        base_edge = bar_power_diag(g, 2, SD)
+        base_edge = sorted_bar_diag(g, 2)
         for seed in range(seeds_per_graph):
             h, _ = random_relabel(g, seed * 31 + hash(name) % 997)
-            assert sorted(s.values for s in vertex_signatures(h, (3, 4), SD)) == base_vertex
+            assert sorted(NeighborhoodPowerCache(h).signature_values((3, 4), SD)) == base_vertex
             assert graph_signature(h, (3, 4), SD) == base_graph
             assert graph_signature(h, (3, 4), TRACE) == base_graph_tr
-            assert bar_power_diag(h, 2, SD) == base_edge
+            assert sorted_bar_diag(h, 2) == base_edge
             checked += 1
     assert checked == 200
     ok("3 permutation invariance (200 relabelings, 5 fixtures)")
@@ -236,7 +239,7 @@ def test_criterion_3_dense_matrix_equivalences():
                 pairs = directed_edges(g)
                 if pairs:
                     table = bar_diag_table(g, (p,))[p]
-                    for pair, val in zip(pairs, table.per_pair):
+                    for pair, val in zip(pairs, per_directed_edge(g, table.values)):
                         assert bar[pair] == val, (name, p, pair)
                 for a in range(g.v):
                     for b in range(g.v):
@@ -251,16 +254,16 @@ def test_criterion_3_refinement_and_dominance():
         g = er_graph(8, 9000 + seed)
         prev_blocks = None
         for powers in ((3,), (3, 4), (3, 4, 5)):
-            part = partition_vertices(vertex_signatures(g, powers, SD))
+            blocks = vertex_partition(g, powers)
             if prev_blocks is not None:
-                for block in part.blocks:
+                for block in blocks:
                     owners = {
                         next(i for i, ob in enumerate(prev_blocks) if v in ob)
                         for v in block
                     }
                     if len(owners) != 1:
                         violations += 1
-            prev_blocks = part.blocks
+            prev_blocks = blocks
         h = er_graph(8, 9500 + seed)
         if graph_signature(g, (3, 4), TRACE) != graph_signature(h, (3, 4), TRACE):
             if graph_signature(g, (3, 4), SD) == graph_signature(h, (3, 4), SD):

@@ -2,8 +2,9 @@
 
 The vertex stages key each graph by its signature table as bytes, and the
 outblock stage finds its first block on that table. Here the tuple
-payloads are rebuilt from the public tuple API (``vertex_signatures``
-values, sorted with ``row_sort_key``), and over every pair of graphs the
+payloads are rebuilt from the per-vertex value tuples
+(``NeighborhoodPowerCache.signature_values``, sorted with
+``row_sort_key``), and over every pair of graphs the
 two payloads must agree on equality: under each forced arithmetic tier,
 exactly and in modular mode. The edge stages key each graph by its
 traces, or by its sorted undirected-edge values as bytes; those must split
@@ -21,7 +22,12 @@ from srginv.catalog import chang_graphs, triangular_graph
 from srginv.isomorphism import random_relabel
 from srginv.matpow import DEFAULT_MODULUS
 from srginv.pipeline import LadderStage, StageKind, _GraphState
-from srginv.vertexinv import InvariantMode, outblock_signature, row_sort_key, vertex_signatures
+from srginv.vertexinv import (
+    InvariantMode,
+    NeighborhoodPowerCache,
+    outblock_signature,
+    row_sort_key,
+)
 
 from helpers import TIERS, er_graph, srg_fixtures
 
@@ -58,11 +64,11 @@ GRAPHS = payload_graphs()
 
 
 def values(g, powers, mode, modulus):
-    return [s.values for s in vertex_signatures(g, powers, mode, modulus=modulus)]
+    return NeighborhoodPowerCache(g, modulus).signature_values(powers, mode)
 
 
 def tuple_payload(g, stage, modulus):
-    """The stage's payload as nested tuples, from the public tuple API."""
+    """The stage's payload as nested tuples, from the per-vertex values."""
     vals = values(g, stage.powers, stage.mode, modulus)
     base = tuple(sorted(vals, key=row_sort_key))
     if stage.kind is StageKind.VERTEX:
@@ -120,7 +126,7 @@ def test_edge_payload_equality_matches_the_tables(tier, modulus, monkeypatch):
     states = [_GraphState(g, modulus, ()) for g in graphs]
     for stage in EDGE_STAGES:
         new = [state.payload(stage) for state in states]
-        read = (lambda d: d.trace) if stage.mode is TRACE else (lambda d: d.sorted_values)
+        read = (lambda d: d.trace) if stage.mode is TRACE else (lambda d: tuple(sorted(d.values.tolist())))
         old = [tuple(read(table[p]) for p in stage.powers) for table in tables]
         assert len(old) == len(graphs)  # one table per graph, reused by Esd
         for i, j in itertools.combinations(range(len(graphs)), 2):
@@ -148,7 +154,7 @@ def test_outblock_removes_the_first_block_by_residue_order():
     nb = outblock_signature(g, (4,), SD, modulus=modulus)
     assert nb.refined
     assert nb.removed == tuple(a for a, row in enumerate(vals) if row == first)
-    raw = [s.values for s in vertex_signatures(g, (4,), SD)]
+    raw = values(g, (4,), SD, None)
     assert first != vals[raw.index(min(raw, key=row_sort_key))]
     assert nb.base.rows == tuple(sorted(vals, key=row_sort_key))
     keep = [a for a, row in enumerate(vals) if row != first]

@@ -1,3 +1,4 @@
+import collections
 import sys
 import threading
 from pathlib import Path
@@ -7,49 +8,55 @@ import pytest
 
 from srginv import edgeinv, matpow
 from srginv.catalog import complete_graph, empty_graph, star_graph, triangular_graph
-from srginv.edgeinv import (
-    bar_diag_table,
-    bar_power_diag,
-    build_bar_matrix,
-    edge_partition,
-)
+from srginv.edgeinv import bar_diag_table, build_bar_matrix
 from srginv.isomorphism import random_relabel
 from srginv.matpow import DEFAULT_MODULUS, MatrixOverflowError
-from srginv.vertexinv import InvariantMode
 
 from helpers import (
     TIERS,
+    cli_json,
     dense_bar_power_diag,
     directed_bar_power_diags,
     directed_edges,
     er_graph,
     fixture_graphs,
+    per_directed_edge,
     residue,
+    sorted_bar_diag,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from latin import latin_graphs  # noqa: E402
 
 FX = fixture_graphs()
-TRACE = InvariantMode.TRACE
-SD = InvariantMode.SORTED_DIAG
+
+
+def trace(g, p):
+    return bar_diag_table(g, (p,))[p].trace
+
+
+def table_data(table):
+    """An edge table as plain data: per power, the trace and the values."""
+    return {p: (diag.trace, diag.values.tolist()) for p, diag in table.items()}
+
+
+def edge_partition(g, p):
+    """The ``[a, b, value]`` triples ``srginv edge-inv`` prints at power p."""
+    (graph,) = cli_json(["edge-inv", "--powers", str(p)], g)["graphs"]
+    return graph["partition"]
 
 
 def test_index_contains_both_orientations():
-    # both orientations of each undirected edge share its index
+    # a block row per undirected edge, standing for both its orientations
     pairs = directed_edges(FX["petersen"])
     bar = build_bar_matrix(FX["petersen"])
     assert bar.n == len(pairs) == 30
-    position = {pair: i for i, pair in enumerate(pairs)}
-    undirected = sorted((a, b) for a, b in pairs if a < b)
-    for (a, b), e in zip(pairs, bar.edge_of.tolist()):
-        assert undirected[e] == (min(a, b), max(a, b))
-        assert bar.edge_of[position[(b, a)]] == e
+    assert bar.blocks.shape == (2, 15, 15)
 
 
 def test_k2_bar_matrix():
     bar = build_bar_matrix(complete_graph(2))
-    assert bar.edge_of.tolist() == [0, 0]
+    assert bar.n == 2
     # the directed matrix [[0, 1], [1, 0]] has eigenvalue 1 on the symmetric
     # vector and -1 on the antisymmetric one
     assert bar.blocks.tolist() == [[[1]], [[-1]]]
@@ -70,24 +77,24 @@ def test_star_bar_matrix_row_sums():
 
 def test_edgeless_graph_flagged_empty():
     bar = build_bar_matrix(empty_graph(4))
-    assert bar.is_empty
-    assert bar_power_diag(empty_graph(4), 2, TRACE) == (0,)
-    assert bar_power_diag(empty_graph(4), 2, SD) == ()
+    assert bar.n == 0
+    assert trace(empty_graph(4), 2) == 0
+    assert sorted_bar_diag(empty_graph(4), 2) == []
 
 
 def test_bar_trace_examples():
-    assert bar_power_diag(complete_graph(2), 2, TRACE) == (2,)
-    assert bar_power_diag(complete_graph(3), 2, TRACE) == (18,)
-    assert bar_power_diag(complete_graph(3), 3, TRACE) == (12,)
-    assert bar_power_diag(complete_graph(3), 4, TRACE) == (114,)
-    assert bar_power_diag(star_graph(3), 2, TRACE) == (18,)
-    assert bar_power_diag(FX["prism"], 2, TRACE) == (114,)
-    assert bar_power_diag(FX["k33"], 2, TRACE) == (162,)
+    assert trace(complete_graph(2), 2) == 2
+    assert trace(complete_graph(3), 2) == 18
+    assert trace(complete_graph(3), 3) == 12
+    assert trace(complete_graph(3), 4) == 114
+    assert trace(star_graph(3), 2) == 18
+    assert trace(FX["prism"], 2) == 114
+    assert trace(FX["k33"], 2) == 162
 
 
 def test_petersen_p2_sorted_diag():
-    got = bar_power_diag(FX["petersen"], 2, SD)
-    assert got == (5,) * 30
+    got = sorted_bar_diag(FX["petersen"], 2)
+    assert got == [5] * 30
     dense = dense_bar_power_diag(FX["petersen"], 2)
     want = sorted(dense[(a, b)] for a in range(10) for b in range(10) if FX["petersen"].has_edge(a, b))
     assert list(got) == want
@@ -95,7 +102,7 @@ def test_petersen_p2_sorted_diag():
 
 def test_minimum_power_enforced():
     with pytest.raises(ValueError):
-        bar_power_diag(complete_graph(3), 1, TRACE)
+        bar_diag_table(complete_graph(3), (1,))
     with pytest.raises(ValueError):
         bar_diag_table(complete_graph(3), [2, 2])
     with pytest.raises(ValueError):
@@ -110,7 +117,7 @@ def test_dense_restriction_equivalence(name, p):
         pytest.skip("dense bar oracle is limited to v <= 10")
     dense = dense_bar_power_diag(g, p)
     table = bar_diag_table(g, (p,))[p]
-    for pair, value in zip(directed_edges(g), table.per_pair, strict=True):
+    for pair, value in zip(directed_edges(g), per_directed_edge(g, table.values), strict=True):
         assert dense[pair] == value, (name, p, pair)
     for a in range(g.v):
         for b in range(g.v):
@@ -124,7 +131,7 @@ def test_dense_restriction_equivalence_random(seed):
     for p in (2, 3):
         dense = dense_bar_power_diag(g, p)
         table = bar_diag_table(g, (p,))[p]
-        for pair, value in zip(directed_edges(g), table.per_pair, strict=True):
+        for pair, value in zip(directed_edges(g), per_directed_edge(g, table.values), strict=True):
             assert dense[pair] == value
 
 
@@ -134,7 +141,7 @@ def test_orientation_symmetry(name):
     pairs = directed_edges(g)
     position = {pair: i for i, pair in enumerate(pairs)}
     for p in (2, 3, 5):
-        per_pair = bar_diag_table(g, (p,))[p].per_pair
+        per_pair = per_directed_edge(g, bar_diag_table(g, (p,))[p].values)
         for (a, b), value in zip(pairs, per_pair, strict=True):
             assert per_pair[position[(b, a)]] == value
 
@@ -145,7 +152,7 @@ def test_bar_permutation_invariance(name):
     for seed in range(6):
         h, _ = random_relabel(g, 40 + seed)
         for p in (2, 3):
-            assert bar_power_diag(g, p, SD) == bar_power_diag(h, p, SD)
+            assert sorted_bar_diag(g, p) == sorted_bar_diag(h, p)
 
 
 def test_trace_equals_sum_of_diag():
@@ -153,29 +160,26 @@ def test_trace_equals_sum_of_diag():
         g = FX[name]
         for p in (2, 3, 4):
             table = bar_diag_table(g, (p,))[p]
-            assert table.trace == sum(table.sorted_values)
-            assert bar_power_diag(g, p, TRACE) == (table.trace,)
+            assert table.trace == sum(sorted_bar_diag(g, p))
 
 
 def test_edge_partition_k3():
-    part = edge_partition(complete_graph(3), 2)
-    assert len(part.blocks) == 1
-    assert len(part.blocks[0].pairs) == 6
-    assert part.blocks[0].value == 3
+    triples = edge_partition(complete_graph(3), 2)
+    assert {t[2] for t in triples} == {3}
+    assert 2 * len(triples) == 6
 
 
 def test_edge_partition_edge_transitive():
-    part = edge_partition(FX["petersen"], 4)
-    assert len(part.blocks) == 1
-    assert len(part.blocks[0].pairs) == 30
+    triples = edge_partition(FX["petersen"], 4)
+    assert len({t[2] for t in triples}) == 1
+    assert 2 * len(triples) == 30
 
 
 def test_edge_partition_nontrivial_split():
     # prism: triangle edges and cross edges get different closed-walk counts
-    part = edge_partition(FX["prism"], 2)
-    assert [b.value for b in part.blocks] == [6, 7]
-    assert [len(b.pairs) for b in part.blocks] == [12, 6]
-    triples = part.undirected_triples()
+    triples = edge_partition(FX["prism"], 2)
+    counts = collections.Counter(t[2] for t in triples)
+    assert {value: 2 * n for value, n in counts.items()} == {6: 12, 7: 6}  # directed edges
     assert len(triples) == 9
     assert triples == sorted(triples)
     assert {t[2] for t in triples} == {6, 7}
@@ -186,8 +190,8 @@ def test_edge_partition_nontrivial_split():
 
 def test_bar_values_in_modular_mode():
     g = FX["prism"]
-    exact = bar_power_diag(g, 2, SD)
-    modded = bar_power_diag(g, 2, SD, modulus=DEFAULT_MODULUS)
+    exact = sorted_bar_diag(g, 2)
+    modded = sorted_bar_diag(g, 2, modulus=DEFAULT_MODULUS)
     # every value lies below p1 * p2, where the residue is the exact value
     assert modded == exact
 
@@ -225,8 +229,7 @@ def test_bar_table_matches_dense_in_every_tier(tier, modulus, monkeypatch):
         for p in powers:
             dense = dense_bar_power_diag(g, p)
             want = [residue(dense[pair], modulus) for pair in pairs]
-            assert list(table[p].per_pair) == want
-            assert list(table[p].sorted_values) == sorted(want)
+            assert per_directed_edge(g, table[p].values) == want
             assert table[p].trace == residue(sum(dense[pair] for pair in pairs), modulus)
 
 
@@ -276,12 +279,11 @@ def test_bar_tables_in_sequence_equal_fresh_tables(monkeypatch):
     got.append(bar_diag_table(g2, powers))
     assert edgeinv._thread_buffers.bufs is bufs
     assert buffered == [True, True] * 4  # B^2 and B^4 of each block of each table
-    assert got == want
+    assert list(map(table_data, got)) == list(map(table_data, want))
     for table in got:  # nothing points into a buffer
         for diag in table.values():
-            assert all(type(x) is int for x in (*diag.per_pair, *diag.sorted_values, diag.trace))
-            for array in (diag.values, diag.edge_of):
-                assert not any(np.shares_memory(array, buf) for buf in bufs)
+            assert type(diag.trace) is int
+            assert not any(np.shares_memory(diag.values, buf) for buf in bufs)
 
 
 def test_bar_buffers_hold_one_block(monkeypatch):
@@ -299,8 +301,7 @@ def test_bar_buffers_hold_one_block(monkeypatch):
     assert all(a is b for a, b in zip(bufs, before))
     for table in tables:
         for diag in table.values():
-            for array in (diag.values, diag.edge_of):
-                assert not any(np.shares_memory(array, buf) for buf in bufs)
+            assert not any(np.shares_memory(diag.values, buf) for buf in bufs)
 
 
 def test_t8_tables_past_the_odd_square_equal_the_directed_oracle(monkeypatch):
@@ -322,7 +323,7 @@ def test_t8_tables_past_the_odd_square_equal_the_directed_oracle(monkeypatch):
     assert sorted(minus._pows) == [1, 2, 3, 4, 5, 8, 10]
     want = directed_bar_power_diags(g, powers)
     for p in powers:
-        assert list(table[p].per_pair) == want[p]
+        assert per_directed_edge(g, table[p].values) == want[p]
         assert table[p].trace == sum(want[p])
 
 
@@ -330,7 +331,7 @@ def test_t8_tables_past_the_odd_square_equal_the_directed_oracle(monkeypatch):
 def test_bar_tables_without_float64_products(tier, monkeypatch):
     powers = (2, 3, 4, 5)
     graphs = (FX["rook4"], FX["shrikhande"], FX["petersen"])
-    want = [bar_diag_table(g, powers) for g in graphs]
+    want = [table_data(bar_diag_table(g, powers)) for g in graphs]
     for name, value in TIERS[tier].items():
         monkeypatch.setattr(matpow, name, value)
-    assert [bar_diag_table(g, powers) for g in graphs] == want
+    assert [table_data(bar_diag_table(g, powers)) for g in graphs] == want

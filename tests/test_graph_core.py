@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 from srginv.catalog import complete_graph, cycle_graph, empty_graph, path_graph
-from srginv.graph import (
-    Graph,
-    SrgParams,
-    check_srg,
-    srg_diagnosis,
-    trace_power_signature,
-)
+from srginv.graph import Graph, SrgParams, check_srg, srg_diagnosis
 from srginv.isomorphism import random_relabel
 
-from helpers import er_graph, fixture_graphs, srg_fixtures
+from helpers import er_graph, fixture_graphs, srg_fixtures, trace_power_signature
 
 FX = fixture_graphs()
 

@@ -1,27 +1,37 @@
+import ast
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
-from srginv.catalog import complete_graph, path_graph, star_graph
+from srginv import graph, isomorphism
+from srginv.catalog import chang_graphs, complete_graph, path_graph, star_graph, triangular_graph
 from srginv.graph import Graph
 from srginv.isomorphism import (
     ISOMORPHIC,
     NON_ISOMORPHIC,
     UNDECIDED,
+    VertexPartition,
+    _blocks_for,
     apply_permutation,
     are_isomorphic,
-    count_closed_walks,
     random_relabel,
 )
-from srginv.vertexinv import (
-    InvariantMode,
-    VertexPartition,
-    partition_vertices,
-    vertex_signatures,
-)
 
-from helpers import er_graph, fixture_graphs
+from srginv.vertexinv import InvariantMode, NeighborhoodPowerCache, row_sort_key
+
+from helpers import count_closed_walks, er_graph, fixture_graphs
 
 FX = fixture_graphs()
+
+# every fixture, the Chang graphs, T(8), and irregular graphs, some with
+# isolated vertices, whose neighborhoods the ladder pads
+BLOCK_GRAPHS = {
+    **FX,
+    **{f"chang{i}": g for i, g in enumerate(chang_graphs())},
+    "t8": triangular_graph(8),
+    **{f"er{seed}": er_graph(5 + 2 * seed, 70 + seed, 0.2 + 0.1 * seed) for seed in range(6)},
+}
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -110,15 +120,12 @@ def test_budget_exhaustion_is_explicit():
 def test_blocks_argument():
     g = FX["prism"]
     h, _ = random_relabel(g, 3)
-    powers = (3, 4)
-    p1 = partition_vertices(vertex_signatures(g, powers, InvariantMode.SORTED_DIAG))
-    p2 = partition_vertices(vertex_signatures(h, powers, InvariantMode.SORTED_DIAG))
+    p1, p2 = _blocks_for(g), _blocks_for(h)
     res = are_isomorphic(g, h, blocks=(p1, p2))
     assert res.status == ISOMORPHIC
 
-    bad = partition_vertices(
-        vertex_signatures(FX["k33"], powers, InvariantMode.SORTED_DIAG)
-    )
+    # one block of six, as the prism's, under another signature
+    bad = _blocks_for(complete_graph(6))
     with pytest.raises(ValueError, match="block"):
         are_isomorphic(g, h, blocks=(p1, bad))
     halves = VertexPartition(((0, 1, 2), (3, 4, 5)), ())
@@ -160,3 +167,37 @@ def test_result_truthiness():
     h, _ = random_relabel(g, 1)
     assert are_isomorphic(g, h)
     assert not are_isomorphic(FX["rook4"], FX["shrikhande"])
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+def test_blocks_equal_the_first_sorted_diagonal_stage(name):
+    # the oracle's popcounts against the ladder's (degree, sortdiag 3) rows
+    g = BLOCK_GRAPHS[name]
+    rows = NeighborhoodPowerCache(g).signature_values((3,), InvariantMode.SORTED_DIAG)
+    keys = sorted(set(rows), key=row_sort_key)
+    blocks = tuple(tuple(a for a, row in enumerate(rows) if row == key) for key in keys)
+    assert _blocks_for(g) == VertexPartition(blocks, tuple(keys))
+
+
+def test_block_graphs_include_padded_neighborhoods():
+    degrees = [{g.degree(a) for a in range(g.v)} for g in BLOCK_GRAPHS.values()]
+    assert sum(len(d) > 1 for d in degrees) >= 4
+    assert any(0 in d for d in degrees)
+
+
+def package_imports(module) -> set[str]:
+    """The package modules that ``module`` imports, relatively or by name."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("srginv")):
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.startswith("srginv"))
+    return names
+
+
+def test_oracle_depends_on_no_invariant_code():
+    # the graph module in turn imports no package module
+    assert package_imports(isomorphism) == {"graph"}
+    assert package_imports(graph) == set()

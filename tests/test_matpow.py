@@ -17,7 +17,7 @@ from srginv.matpow import (
     half_sum,
     power_cache,
 )
-from srginv.vertexinv import NeighborhoodPowerCache
+from srginv.vertexinv import InvariantMode, NeighborhoodPowerCache
 
 from helpers import TIERS, residue
 
@@ -300,7 +300,7 @@ def test_kernel_forms_only_half_powers(modulus, matmul_calls):
     # B^2 and B^4 of each |E| x |E| orientation block, one block at a time
     assert matmul_calls == [(1, 39, 39)] * 4
     matmul_calls.clear()
-    NeighborhoodPowerCache(g, modulus).trace(3)
+    NeighborhoodPowerCache(g, modulus).ensure((3,))
     assert len(matmul_calls) == 1  # the stacked square of the neighborhood matrices
 
 
@@ -384,8 +384,10 @@ def test_modular_engine_across_the_residue_switch(name, modulus):
 
 def test_modular_engine_takes_the_exact_fast_path(matmul_calls):
     mod = NeighborhoodPowerCache(paley_graph(13), DEFAULT_MODULUS)
-    mod.trace(3)
+    mod.ensure((3,))
     assert len(matmul_calls) == 1  # P2 on the BLAS tier, not two object products
     exact = NeighborhoodPowerCache(paley_graph(13))
-    assert mod.diag(3) == [tuple(residue(x, DEFAULT_MODULUS) for x in row) for row in exact.diag(3)]
-    assert mod.trace(3) == [residue(t, DEFAULT_MODULUS) for t in exact.trace(3)]
+    for mode in InvariantMode:
+        want = exact.signature_values((3,), mode)
+        got = mod.signature_values((3,), mode)
+        assert got == [tuple(residue(x, DEFAULT_MODULUS) for x in row) for row in want]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,14 +40,19 @@ from srginv.pipeline import (
     distinguish_family,
     group_families,
     load_dataset,
-    load_dataset_text,
     read_graphs,
 )
-from srginv.vertexinv import InvariantMode, outblock_signature, vertex_signatures
+from srginv.vertexinv import InvariantMode, graph_signature, outblock_signature
 
 from helpers import er_graph, fixture_graphs
 
 FX = fixture_graphs()
+
+
+def load_dataset_text(text: str, *, allow_non_srg: bool = False):
+    """``load_dataset`` on ``text``, read from stdin."""
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        return load_dataset("-", allow_non_srg=allow_non_srg)
 
 
 def cube_graph() -> Graph:
@@ -94,7 +100,7 @@ def test_stage_validation():
 
 # every entry point that takes a power list, with its floor
 POWER_LIST_ENTRIES = {
-    "vertex_signatures": (1, lambda ps: vertex_signatures(FX["petersen"], ps, InvariantMode.TRACE)),
+    "vertex_signatures": (1, lambda ps: graph_signature(FX["petersen"], ps, InvariantMode.TRACE)),
     "bar_diag_table": (2, lambda ps: bar_diag_table(FX["petersen"], ps)),
     "vertex stage": (1, lambda ps: LadderStage(StageKind.VERTEX, InvariantMode.TRACE, ps)),
     "edge stage": (2, lambda ps: LadderStage(StageKind.EDGE, InvariantMode.TRACE, ps)),
@@ -122,10 +128,8 @@ def test_numpy_power_lists_become_python_ints():
     stage = LadderStage(StageKind.EDGE, InvariantMode.TRACE, np.arange(3, 5))
     assert stage.powers == (3, 4) and all(type(p) is int for p in stage.powers)
     assert all(type(p) is int for p in bar_diag_table(FX["petersen"], np.arange(3, 5)))
-    sigs = vertex_signatures(FX["petersen"], np.arange(3, 5), InvariantMode.TRACE)
-    assert [s.values for s in sigs] == [
-        s.values for s in vertex_signatures(FX["petersen"], [3, 4], InvariantMode.TRACE)
-    ]
+    sig = graph_signature(FX["petersen"], np.arange(3, 5), InvariantMode.TRACE)
+    assert sig == graph_signature(FX["petersen"], [3, 4], InvariantMode.TRACE)
 
 
 def test_ladder_json_roundtrip():

@@ -4,20 +4,24 @@ import pytest
 
 from srginv.catalog import complete_graph, cycle_graph, star_graph
 from srginv.graph import Graph
-from srginv.isomorphism import apply_permutation, count_closed_walks, random_relabel
+from srginv.isomorphism import apply_permutation, random_relabel
 from srginv.matpow import DEFAULT_MODULUS
 from srginv.vertexinv import (
     InvariantMode,
     NeighborhoodPowerCache,
-    VertexSignature,
     graph_signature,
-    nbhd_power_diag,
     outblock_signature,
-    partition_vertices,
-    vertex_signatures,
 )
 
-from helpers import dense_tilde_power_diag, er_graph, fixture_graphs
+from helpers import (
+    count_closed_walks,
+    cli_json,
+    dense_tilde_power_diag,
+    er_graph,
+    fixture_graphs,
+    nbhd_power_diag,
+    vertex_partition,
+)
 
 FX = fixture_graphs()
 TRACE = InvariantMode.TRACE
@@ -27,6 +31,11 @@ SD = InvariantMode.SORTED_DIAG
 def paw_graph() -> Graph:
     # triangle 0-1-2 with a pendant vertex 3 on 0: three signature classes
     return Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+
+
+def values(g, powers, mode, modulus=None):
+    """Per-vertex values, the ``vertex_signatures`` of ``srginv vertex-inv``."""
+    return NeighborhoodPowerCache(g, modulus).signature_values(powers, mode)
 
 
 def test_rook_trace_p3():
@@ -68,11 +77,11 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         nbhd_power_diag(g, 0, 0, TRACE)
     with pytest.raises(ValueError):
-        vertex_signatures(g, [], TRACE)
+        graph_signature(g, [], TRACE)
     with pytest.raises(ValueError):
-        vertex_signatures(g, [3, 3], TRACE)
+        graph_signature(g, [3, 3], TRACE)
     with pytest.raises(ValueError):
-        vertex_signatures(g, [4, 3], TRACE)
+        graph_signature(g, [4, 3], TRACE)
 
 
 def closed_walk_diag(g, a, p):
@@ -135,35 +144,34 @@ def test_tilde_matrix_equivalence_random(seed):
 
 
 def test_vertex_signatures_examples():
-    for s in vertex_signatures(complete_graph(4), [3], TRACE):
-        assert s.values == (6,)
-    for s in vertex_signatures(cycle_graph(5), [2, 3], SD):
-        assert s.values == (0, 0, 0, 0)
-    for s in vertex_signatures(FX["rook4"], [3, 4], TRACE):
-        assert s.values == (12, 36)
+    for row in values(complete_graph(4), (3,), TRACE):
+        assert row == (6,)
+    for row in values(cycle_graph(5), (2, 3), SD):
+        assert row == (0, 0, 0, 0)
+    for row in values(FX["rook4"], (3, 4), TRACE):
+        assert row == (12, 36)
 
 
 def test_signature_lengths_and_sorting():
     g = paw_graph()
-    sigs = vertex_signatures(g, [2, 3], SD)
-    for s in sigs:
-        assert len(s.values) == 2 * g.degree(s.vertex)
-        seg = s.values[: g.degree(s.vertex)]
+    for a, row in enumerate(values(g, (2, 3), SD)):
+        assert len(row) == 2 * g.degree(a)
+        seg = row[: g.degree(a)]
         assert list(seg) == sorted(seg)
-        assert all(x >= 0 for x in s.values)
+        assert all(x >= 0 for x in row)
 
 
 def test_trace_is_sum_of_sorted_diag():
     for name in ("rook4", "prism", "paley13"):
         g = FX[name]
-        for powers in ([2], [3], [2, 3, 4]):
-            tr = vertex_signatures(g, powers, TRACE)
-            sd = vertex_signatures(g, powers, SD)
-            for t, s in zip(tr, sd):
-                d = g.degree(t.vertex)
+        for powers in ((2,), (3,), (2, 3, 4)):
+            tr = values(g, powers, TRACE)
+            sd = values(g, powers, SD)
+            for a, (t, s) in enumerate(zip(tr, sd)):
+                d = g.degree(a)
                 for i, p in enumerate(powers):
-                    seg = s.values[i * d : (i + 1) * d]
-                    assert t.values[i] == sum(seg)
+                    seg = s[i * d : (i + 1) * d]
+                    assert t[i] == sum(seg)
 
 
 @pytest.mark.parametrize("name", ["rook4", "shrikhande", "petersen", "prism", "paley13"])
@@ -184,31 +192,22 @@ def test_rook_shrikhande_signatures_differ():
 
 
 def test_partition_single_block():
-    sigs = vertex_signatures(FX["petersen"], [3], SD)
-    part = partition_vertices(sigs)
-    assert part.blocks == (tuple(range(10)),)
-    part = partition_vertices(vertex_signatures(FX["rook4"], [3], TRACE))
-    assert part.blocks == (tuple(range(16)),)
+    assert vertex_partition(FX["petersen"], [3]) == [list(range(10))]
+    assert vertex_partition(FX["rook4"], [3], TRACE) == [list(range(16))]
 
 
 def test_partition_blocks_and_order():
-    part = partition_vertices(vertex_signatures(paw_graph(), [2], SD))
+    (graph,) = cli_json(["vertex-inv", "--powers", "2"], paw_graph())["graphs"]
     # ascending by (length, values): pendant (0,), triangle pair (1,1), hub (0,1,1)
-    assert part.blocks == ((3,), (1, 2), (0,))
-    assert part.signatures == ((0,), (1, 1), (0, 1, 1))
+    assert graph["partition"] == [[3], [1, 2], [0]]
+    signatures = list(dict.fromkeys(map(tuple, graph["graph_signature"])))
+    assert signatures == [(0,), (1, 1), (0, 1, 1)]
 
 
 def test_partition_all_distinct():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    sigs = vertex_signatures(g, [2, 3], SD)
-    part = partition_vertices(sigs)
-    covered = sorted(v for b in part.blocks for v in b)
+    covered = sorted(v for b in vertex_partition(g, [2, 3]) for v in b)
     assert covered == [0, 1, 2, 3]
-
-
-def test_partition_rejects_empty():
-    with pytest.raises(ValueError):
-        partition_vertices([])
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -216,13 +215,13 @@ def test_refinement_monotonicity(seed):
     g = er_graph(8, 300 + seed)
     prev = None
     for powers in ([2], [2, 3], [2, 3, 4], [2, 3, 4, 5]):
-        part = partition_vertices(vertex_signatures(g, powers, SD))
+        blocks = vertex_partition(g, powers)
         if prev is not None:
             # every new block must sit inside one old block
-            for block in part.blocks:
+            for block in blocks:
                 holders = {next(i for i, ob in enumerate(prev) if v in ob) for v in block}
                 assert len(holders) == 1
-        prev = part.blocks
+        prev = blocks
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -260,7 +259,7 @@ def test_outblock_degenerate_tail():
 def test_zero_vertex_graph_signature():
     g = Graph(0, [])
     assert graph_signature(g, [3], SD).rows == ()
-    assert vertex_signatures(g, [3], TRACE) == []
+    assert values(g, (3,), TRACE) == []
     with pytest.raises(ValueError, match="empty signature list"):
         outblock_signature(g, [3], SD)
 
@@ -318,7 +317,6 @@ def test_batched_kernel_matches_per_vertex_reference(mode, modulus):
     graphs = [irregular_graph(seed) for seed in range(60)]
     assert sum(len(set(g.dense().sum(axis=1).tolist())) >= 3 for g in graphs) >= 30
     for g in graphs:
-        sigs = vertex_signatures(g, powers, mode, modulus=modulus)
-        for a, sig in enumerate(sigs):
+        for a, row in enumerate(values(g, powers, mode, modulus)):
             want = sum((nbhd_power_diag(g, a, p, mode, modulus=modulus) for p in powers), ())
-            assert sig == VertexSignature(a, want)
+            assert row == want
