@@ -45,7 +45,7 @@ import threading
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, fit_int64, half_sum, power_cache
+from .matpow import check_powers, half_sum, power_cache
 
 
 class BarMatrix:
@@ -112,19 +112,13 @@ def bar_diag_table(
     """Diagonals of bar-matrix powers, all requested powers in one pass."""
     powers = check_powers(powers, minimum=2)
     bar = build_bar_matrix(g)
-    if not bar.n:
-        return {p: BarPowerDiag(np.zeros(0, np.int64), 0) for p in powers}
     buffers = _bar_buffers(bar.blocks[:1].shape)
     plus, minus = (_block_diags(block, powers, modulus, buffers) for block in bar.blocks)
-    out = {}
-    for p in powers:
-        half, trace = half_sum(np.concatenate((plus[p], minus[p])), modulus)
-        out[p] = BarPowerDiag(fit_int64(half), trace)
-    return out
+    return {p: BarPowerDiag(*half_sum(plus[p], minus[p], modulus)) for p in powers}
 
 
 def _block_diags(block: np.ndarray, powers, modulus, buffers) -> dict[int, np.ndarray]:
-    """The (1, |E|) diagonals of one orientation block's powers; its engine,
+    """The (|E|,) diagonals of one orientation block's powers; its engine,
     and with it every power written into ``buffers``, is dropped on return."""
     cache = power_cache(block[None], modulus, buffers=buffers)
-    return {p: cache.diag_array(p) for p in powers}
+    return {p: cache.diag_array(p)[0] for p in powers}

@@ -7,8 +7,9 @@ whose characters (and ``>>graph6<<`` header) can never be ``0`` or ``1``.
 
 Vertices are 0-based everywhere. A graph stores one bit row per vertex as
 an arbitrary-precision integer, so neighborhood intersection and the
-isomorphism search work on whole machine words; a dense numpy view is
-derived lazily for the matrix-power kernels.
+isomorphism search work on whole machine words. The dense numpy view the
+matrix-power kernels read is kept from the matrix a graph is built from
+(``Graph.from_dense``, which both parsers call), else derived lazily.
 """
 
 from __future__ import annotations
@@ -182,13 +183,18 @@ class Graph:
 
     @classmethod
     def from_dense(cls, mat, _validated: bool = False) -> "Graph":
+        """The graph whose edges are the nonzero entries of ``mat``; a
+        read-only uint8 0/1 copy of it becomes the dense cache."""
         mat = np.asarray(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got {mat.shape}")
-        v = mat.shape[0]
-        packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
+        dense = np.ascontiguousarray(mat != 0, dtype=np.uint8)
+        packed = np.packbits(dense, axis=1, bitorder="little")
         rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-        return cls(v, rows, _validated=_validated)
+        g = cls(mat.shape[0], rows, _validated=_validated)
+        dense.flags.writeable = False
+        g._dense = dense
+        return g
 
     @classmethod
     def from_edges(cls, v: int, edges) -> "Graph":
@@ -287,7 +293,7 @@ def parse_graph6(text: str) -> Graph:
     tr, tc = np.tril_indices(v, -1)  # (j, i) pairs in graph6 bit order
     mat[tr, tc] = bits[:need]
     mat |= mat.T
-    return _from_decoded(mat)
+    return Graph.from_dense(mat, _validated=True)
 
 
 def write_graph6(g: Graph) -> str:
@@ -354,17 +360,8 @@ def parse_adjacency_rows(text: str) -> list[Graph]:
             raise GraphFormatError(
                 f"block {bi}, line {int(r)}: asymmetric entry at column {int(c)}"
             )
-        graphs.append(_from_decoded(mat))
+        graphs.append(Graph.from_dense(mat, _validated=True))
     return graphs
-
-
-def _from_decoded(mat: np.ndarray) -> Graph:
-    """The graph of a freshly decoded, validated uint8 0/1 matrix that no
-    caller holds; the matrix, made read-only, becomes its dense cache."""
-    g = Graph.from_dense(mat, _validated=True)
-    mat.flags.writeable = False
-    g._dense = mat
-    return g
 
 
 def detect_format(text: str) -> str:

@@ -38,6 +38,11 @@ second operand untransposed. Past int64 the modulus decides:
   ``[0, p1 * p2)``, which is the exact value whenever that is non-negative
   and below ``p1 * p2``, so where the switch happened never shows and
   modular output equals exact output wherever both exist.
+
+Every diagonal, trace and half sum returned here is int64 exactly when each
+of its values fits, else an object array of Python ints, whatever tier
+formed it. Only this module decides that, and it builds the keys the
+ladder compares: :func:`sorted_rows` and :func:`sorted_values`.
 """
 
 from __future__ import annotations
@@ -119,10 +124,10 @@ def _as(m: np.ndarray, dtype) -> np.ndarray:
     return m.astype(dtype)
 
 
-def fit_int64(x: np.ndarray) -> np.ndarray:
-    """Non-negative values as int64 when every one fits, else as object:
-    the representation follows from the values, not from the tier."""
-    if x.dtype == object and (x.size == 0 or x.max() <= _FORMAT_LIMITS[1]):
+def _fit_int64(x: np.ndarray) -> np.ndarray:
+    """Values as int64 when every one fits, else as object: the
+    representation follows from the values, not from the tier."""
+    if x.dtype == object and _entry_max(x) <= _FORMAT_LIMITS[1]:
         return x.astype(np.int64)
     return x
 
@@ -203,11 +208,10 @@ class PowerCache:
     values reduced mod ``p1 * p2``. ``diag_array(p)`` forms only the half
     powers, and for an odd p = 2h + 1 on a symmetric base M^(2h) in place
     of a missing M^(h+1) while that square stays on float64 (see the
-    module docstring). Exact (m, k) diagonals and (m,) traces are int64,
-    or object past int64; modular ones are the residues mod ``p1 * p2``,
-    the exact value below it: int64 when the exact values are non-negative
-    int64, else object. A trace is the residue of the sum of its true
-    diagonal.
+    module docstring). The (m, k) diagonals and (m,) traces are exact
+    values, or in modular mode the residues mod ``p1 * p2``, the exact
+    value below it; either way int64 exactly when every value fits, else
+    object. A modular trace is the residue of the sum of its true diagonal.
 
     ``buffers`` are float64 arrays of the base's shape that the float64
     base and powers are written into, as far as they last. ``power`` may
@@ -317,10 +321,10 @@ class PowerCache:
         return x if x.size == 0 or x.min() >= 0 else _as(x, object) % n
 
     def diag_array(self, p: int) -> np.ndarray:
-        return self._residues(self._diag(p))
+        return _fit_int64(self._residues(self._diag(p)))
 
     def trace_array(self, p: int) -> np.ndarray:
-        return self._residues(_row_sums(self._diag(p)))
+        return _fit_int64(self._residues(_row_sums(self._diag(p))))
 
     def diagonals(self, p: int) -> list[tuple[int, ...]]:
         """Unsorted diagonal of the p-th power, one tuple per stacked matrix."""
@@ -330,25 +334,46 @@ class PowerCache:
         return self.trace_array(p).tolist()
 
 
-def half_sum(diags: np.ndarray, modulus: tuple[int, int] | None = None) -> tuple[np.ndarray, int]:
-    """Halves of the entrywise sum of a stack of two diagonals, and the
-    trace of that sum, from (2, k) diagonals as :meth:`PowerCache.diag_array`
-    reports them under ``modulus``.
+def half_sum(plus, minus, modulus: tuple[int, int] | None = None) -> tuple[np.ndarray, int]:
+    """Halves of the entrywise sum of two (k,) diagonals, and the trace of
+    that sum, from diagonals as :meth:`PowerCache.diag_array` reports them
+    under ``modulus``.
 
     Every entrywise sum must be even. Exact sums halve exactly; in modular
     mode a sum of residues is multiplied by the inverse of 2 mod
-    ``p1 * p2``, which needs odd primes, and the trace is its residue.
+    ``p1 * p2``, which needs odd primes, and the trace is its residue. The
+    halves are int64 when every one fits, else an object array.
     """
-    if diags.shape[0] != 2:
-        raise ValueError(f"half_sum needs a stack of two, got {diags.shape[0]}")
-    total = _row_sums(diags.T)
+    total = _row_sums(np.stack((plus, minus), axis=-1))
     trace = _row_sums(total[None]).tolist()[0]
     if modulus is None:
-        return total // 2, trace
+        return _fit_int64(total // 2), trace
     n = modulus[0] * modulus[1]
     if n % 2 == 0:
         raise ValueError(f"halving mod {n} needs odd primes")
-    return _as(total, object) * pow(2, -1, n) % n, trace % n
+    return _fit_int64(_as(total, object) * pow(2, -1, n) % n), trace % n
+
+
+def sorted_rows(table: np.ndarray) -> tuple[np.ndarray, object]:
+    """A non-negative 2-d table with its rows in lexicographic order, and a
+    hashable key of them: int64 rows sort as big-endian byte records, whose
+    byte order is the numeric one (that of ``np.lexsort``) at a fraction of
+    its cost, keyed by shape and bytes; Python-int rows sort as tuples."""
+    if table.dtype == object:
+        rows = table.tolist()
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        return table[order], tuple(tuple(rows[i]) for i in order)
+    if len(table) > 1:
+        record = np.dtype((np.void, 8 * table.shape[1]))
+        records = np.ascontiguousarray(table, dtype=">i8").view(record).ravel()
+        table = np.sort(records).view(">i8").reshape(table.shape)
+    return table, (table.shape, table.tobytes())
+
+
+def sorted_values(values: np.ndarray):
+    """Sorted values as int64 bytes, or as a tuple of Python ints past int64."""
+    values = np.sort(values)
+    return tuple(values.tolist()) if values.dtype == object else values.tobytes()
 
 
 class ModularPowerCache(PowerCache):

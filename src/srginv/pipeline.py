@@ -15,8 +15,9 @@ class with another graph.
 
 ``distinguish_family`` is the one runner of the ladder. A family of one
 graph gets no stage, only its single-block flag; ``compare_pair`` runs its
-pair as a two-graph family, and ``dataset_report`` runs each family. An
-exact run that overflows int64 is re-run whole under DEFAULT_MODULUS by
+pair as a two-graph family, and ``dataset_report`` runs each family. Exact
+values past int64 are held as Python ints; an exact run in which a value
+leaves the unsigned 64-bit range is re-run whole under DEFAULT_MODULUS by
 ``distinguish_family`` itself, which marks the report.
 
 A graph's ladder state keeps only what a later stage reads: its vertex
@@ -34,11 +35,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .edgeinv import BarPowerDiag, bar_diag_table
 from .graph import Graph, GraphFormatError, SrgParams, parse_graphs, srg_diagnosis
-from .matpow import DEFAULT_MODULUS, MatrixOverflowError, check_powers
+from .matpow import DEFAULT_MODULUS, MatrixOverflowError, check_powers, sorted_values
 from .vertexinv import InvariantMode, NeighborhoodPowerCache, outblock_signature
 
 
@@ -163,14 +162,14 @@ class _GraphState:
                 return tuple(self._edge[p].trace for p in powers)
             # both orientations of an edge share its value, so the sorted
             # |E| values are equal exactly when the sorted 2|E| ones are
-            return tuple(_sorted_key(self._edge[p].values) for p in powers)
+            return tuple(sorted_values(self._edge[p].values) for p in powers)
         # the first vertex stage computes its own powers; a graph that
         # survives it gets every other vertex power of the ladder in one pass
         self.nbhd.ensure(self.vertex_powers if self.nbhd.powers else powers)
         if stage.kind is StageKind.VERTEX:
             return self.nbhd.signature(powers, mode)
         ob = outblock_signature(self.graph, powers, mode, modulus=self.modulus, nbhd=self.nbhd)
-        return (ob.refined, ob.base, ob.tail)
+        return (ob.base, ob.tail)
 
     def is_single_block(self) -> bool:
         """True when the sorted-diagonal invariants at the ladder's vertex
@@ -183,12 +182,6 @@ class _GraphState:
         return self.nbhd.single_block(self.nbhd.powers) and self.nbhd.single_block(
             self.vertex_powers
         )
-
-
-def _sorted_key(values: np.ndarray):
-    """Sorted values as int64 bytes, or as a tuple of Python ints past int64."""
-    values = np.sort(values)
-    return tuple(values.tolist()) if values.dtype == object else values.tobytes()
 
 
 @dataclass(frozen=True)
@@ -248,7 +241,6 @@ def distinguish_family(
     ladder: LadderConfig | None = None,
     *,
     modulus: tuple[int, int] | None = None,
-    params: SrgParams | None = None,
     family: str | None = None,
 ) -> DistinguishReport:
     """Run the ladder over one family and count distinguished classes.
@@ -264,7 +256,7 @@ def distinguish_family(
         raise ValueError("a family needs at least 1 graph")
     ladder = ladder or default_ladder()
     if family is None:
-        family = params.key() if params is not None else f"{graphs[0].v}-?"
+        family = f"{graphs[0].v}-?"
     try:
         return _walk_ladder(graphs, ladder, modulus, family)
     except MatrixOverflowError as e:

@@ -12,9 +12,10 @@ the largest degree kmax; a padded slot is an isolated vertex, so it adds
 zeros to the diagonals and nothing to traces or magnitudes. Each power's
 diagonals stay one (v, kmax) array, each row sorted with its padding
 after the real entries. A :class:`GraphSignature` is those arrays as one
-row-sorted table, compared as bytes. Tuples of Python ints are built only
-when read: :attr:`GraphSignature.rows` and
-:meth:`NeighborhoodPowerCache.signature_values`, the per-vertex values
+row-sorted table, compared by the key :func:`matpow.sorted_rows` builds:
+its bytes when every value fits int64, else its rows of Python ints.
+Tuples of Python ints are built only when read: :attr:`GraphSignature.rows`
+and :meth:`NeighborhoodPowerCache.signature_values`, the per-vertex values
 ``srginv vertex-inv`` prints.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, fit_int64, power_cache
+from .matpow import check_powers, power_cache, sorted_rows
 
 
 class InvariantMode(enum.Enum):
@@ -35,29 +36,15 @@ class InvariantMode(enum.Enum):
 
 
 def row_sort_key(values: tuple[int, ...]):
-    # Different lengths only occur across different-degree vertices; compare
-    # by length first so the order is total.
+    # The order of GraphSignature.rows. Different lengths only occur across
+    # different-degree vertices; compare by length first so the order is total.
     return (len(values), values)
 
 
-def _sorted_rows(table: np.ndarray) -> np.ndarray:
-    """The rows of a non-negative int64 table in lexicographic order.
-
-    Rows are sorted as big-endian byte records, whose byte order is the
-    numeric order for non-negative values (the order of ``np.lexsort``
-    over the columns) at a fraction of its cost.
-    """
-    if len(table) < 2:
-        return table
-    record = np.dtype((np.void, 8 * table.shape[1]))
-    records = np.ascontiguousarray(table, dtype=">i8").view(record).ravel()
-    return np.sort(records).view(">i8").reshape(table.shape)
-
-
-def _value_rows(table, mode: InvariantMode, npowers: int) -> list[tuple[int, ...]]:
+def _value_rows(table: np.ndarray, mode: InvariantMode, npowers: int) -> list[tuple[int, ...]]:
     """Table rows (see :class:`GraphSignature`) as the API's value tuples;
     a SORTED_DIAG row drops its degree and padding."""
-    rows = table.tolist() if isinstance(table, np.ndarray) else table
+    rows = table.tolist()
     if mode is InvariantMode.TRACE:
         return [tuple(row) for row in rows]
     width = (len(rows[0]) - 1) // npowers if rows else 0
@@ -74,29 +61,26 @@ class GraphSignature:
     is the vertex's degree, then each power's sorted diagonal zero-padded
     to the largest degree; a TRACE row is the traces. Values are exact,
     or in modular mode residues mod ``p1 * p2``, the exact value below it.
-    The table is int64 when every value fits, else a tuple of Python-int
-    rows. Its first row is that of the smallest signature in ``rows``
-    order: the degree sorts first, as the row length does there. Two
-    signatures of the same mode and modulus are equal exactly when their
-    ``rows`` are, and compare by table bytes; ``rows``, the value tuples
-    the API returns, are built on each read.
+    The table is int64 when every value fits, else an object array of
+    Python ints. Its rows are in ``row_sort_key`` order of their value
+    tuples: the degree sorts first, as the row length does there, the
+    padding of one degree sits in the same columns, and every value is
+    non-negative. Two signatures of the same mode and modulus are equal
+    exactly when their ``rows`` are, and compare by the key
+    :func:`matpow.sorted_rows` gives; ``rows``, the value tuples the API
+    returns, are built on each read.
     """
 
     __slots__ = ("_key", "_table", "_layout")
 
     def __init__(self, table: np.ndarray, mode: InvariantMode, npowers: int, modulus):
-        if table.dtype == object:
-            self._table = tuple(sorted(map(tuple, table.tolist())))
-            body = self._table
-        else:
-            self._table = _sorted_rows(table)
-            body = (self._table.shape, self._table.tobytes())
+        self._table, body = sorted_rows(table)
         self._layout = (mode, npowers)
         self._key = (mode, modulus, body)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(_value_rows(self._table, *self._layout), key=row_sort_key))
+        return tuple(_value_rows(self._table, *self._layout))
 
     def __eq__(self, other):
         if not isinstance(other, GraphSignature):
@@ -170,8 +154,8 @@ class NeighborhoodPowerCache:
             d = np.sort(d, axis=1)
             if not regular:
                 d[~real] = 0
-            self._diag[p] = fit_int64(d)
-            self._trace[p] = fit_int64(cache.trace_array(p))
+            self._diag[p] = d
+            self._trace[p] = cache.trace_array(p)
 
     def _table(self, powers: tuple[int, ...], mode: InvariantMode) -> np.ndarray:
         """The rows of :class:`GraphSignature`, in vertex order."""
@@ -233,7 +217,7 @@ def outblock_signature(
     if not len(table):
         raise ValueError("cannot partition an empty signature list")
     base = GraphSignature(table, mode, len(powers), modulus)
-    first = (table == np.array(base._table[0], dtype=table.dtype)).all(axis=1)
+    first = (table == base._table[0]).all(axis=1)
     if first.all():
         return OutblockSignature(base, False, (), None)
     tail = g.induced_subgraph(np.flatnonzero(~first).tolist())

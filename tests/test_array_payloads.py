@@ -160,3 +160,22 @@ def test_outblock_removes_the_first_block_by_residue_order():
     keep = [a for a, row in enumerate(vals) if row != first]
     tail = values(g.induced_subgraph(keep), (4,), SD, modulus)
     assert nb.tail.rows == tuple(sorted(tail, key=row_sort_key))
+
+
+def test_python_int_tables_sort_and_key_as_their_rows():
+    # at power 30 the Chang graphs' residues pass int64, so their tables hold
+    # Python ints; relabelings must key alike, and rows come out sorted
+    for g in chang_graphs():
+        h = random_relabel(g, 3)[0]
+        for mode in InvariantMode:
+            vals = values(g, (30,), mode, DEFAULT_MODULUS)
+            assert max(max(row) for row in vals) > 2**63
+            sig = NeighborhoodPowerCache(g, DEFAULT_MODULUS).signature((30,), mode)
+            again = NeighborhoodPowerCache(h, DEFAULT_MODULUS).signature((30,), mode)
+            assert sig == again and hash(sig) == hash(again)
+            assert sig.rows == tuple(sorted(vals, key=row_sort_key))
+        nb = outblock_signature(g, (30,), SD, modulus=DEFAULT_MODULUS)
+        vals = values(g, (30,), SD, DEFAULT_MODULUS)
+        first = min(vals, key=row_sort_key)
+        assert nb.refined
+        assert nb.removed == tuple(a for a, row in enumerate(vals) if row == first)

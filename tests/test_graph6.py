@@ -269,3 +269,20 @@ def test_from_dense_copies_the_callers_matrix():
     assert mat.flags.writeable
     assert g.edge_count == 1 and not g.dense()[1, 2]
     assert not np.shares_memory(g.dense(), mat)
+
+
+def test_from_dense_cache_matches_the_rows_for_any_entries():
+    # any nonzero entry is an edge, in the rows and in the cached matrix
+    mat = np.array([[0, 2, 0], [-1, 0, 0.5], [0, 0.5, 0]])
+    g = Graph.from_dense(mat)
+    assert g.edge_count == 2
+    assert g.dense().tolist() == Graph(g.v, g.rows).dense().tolist()
+    assert g.dense().dtype == np.uint8 and not g.dense().flags.writeable
+
+
+def test_induced_subgraph_keeps_its_matrix():
+    g = fixture_graphs()["petersen"]
+    sub = g.induced_subgraph([0, 2, 3, 5, 7])
+    assert sub._dense is not None  # no unpacking of its rows later
+    assert sub.dense().tolist() == Graph(sub.v, sub.rows).dense().tolist()
+    assert sub.dense().tolist() == g.dense()[np.ix_([0, 2, 3, 5, 7], [0, 2, 3, 5, 7])].tolist()

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,44 @@ def test_exact_base_is_never_rounded_or_wrapped():
         PowerCache(np.array([[[2**70]]], dtype=object)).diag_array(1)
 
 
+def test_outputs_are_int64_exactly_when_the_values_fit():
+    # diag(M^2) runs on the Python-int tier (bound 2 * 2^62 > 2^63 - 1), yet
+    # every value, and the trace, fits int64
+    cache = PowerCache(np.array([[[2**31, 0], [0, 1]]]))
+    diag, trace = cache.diag_array(2), cache.trace_array(2)
+    assert diag.dtype == np.int64 and diag.tolist() == [[2**62, 1]]
+    assert trace.dtype == np.int64 and trace.tolist() == [2**62 + 1]
+    # past int64 they stay Python ints
+    cache = PowerCache(np.array([[[2**31, 0], [0, 2**31]]]))
+    assert cache.diag_array(2).dtype == np.int64
+    assert cache.trace_array(2).dtype == object
+    assert cache.traces(2) == [2**63]
+
+
+def test_only_matpow_decides_how_values_are_held():
+    # no other package module fits, converts or branches on a value array's
+    # dtype: no fit_int64 import, no ``.dtype == object``, no ndarray test
+    def offences(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                yield from (a.name for a in node.names if "fit_int64" in a.name)
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(x, ast.Attribute) and x.attr == "dtype" for x in sides) and any(
+                    isinstance(x, ast.Name) and x.id == "object" for x in sides
+                ):
+                    yield f"dtype comparison at line {node.lineno}"
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                if any(getattr(x, "attr", None) == "ndarray" for x in ast.walk(node.args[1])):
+                    yield f"ndarray test at line {node.lineno}"
+
+    package = Path(matpow.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "matpow.py")
+    assert len(modules) >= 8
+    found = {p.name: list(offences(ast.parse(p.read_text()))) for p in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def test_signed_bases_are_bounded_by_magnitude():
     # bounds from max(a) alone put these products on tiers that cannot hold them
     cache = PowerCache(np.array([[[-(2**31), 1], [1, -(2**31)]]]))
@@ -201,7 +241,7 @@ def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
         for p in range(1, 14):
             want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
             got = halves.diag_array(p)
-            assert got.dtype == (object if tier == "object" and p > 1 else np.int64)
+            assert got.dtype == np.int64  # every value fits, whatever the tier
             assert got.tolist() == want
             assert np.diagonal(full.power(p), axis1=1, axis2=2).tolist() == want
             assert halves.traces(p) == [sum(row) for row in want]
@@ -314,8 +354,8 @@ def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
     plus, minus = PowerCache((m + n)[None], modulus), PowerCache((m - n)[None], modulus)
     for p in range(1, 12):
         total = np.diagonal(exact_power(m + n, p) + exact_power(m - n, p))
-        diags = np.concatenate((plus.diag_array(p), minus.diag_array(p)))
-        half, trace = half_sum(diags, modulus)
+        half, trace = half_sum(plus.diag_array(p)[0], minus.diag_array(p)[0], modulus)
+        assert half.dtype == np.int64  # every half fits, whatever the tier
         if modulus is None:
             assert half.tolist() == [int(x) // 2 for x in total]
             assert trace == int(sum(total))
@@ -326,16 +366,16 @@ def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
 
 def test_half_sum_past_int64_stays_exact():
     # each diagonal entry is 2^62 (int64 path); their sum 2^63 is not
-    half, trace = half_sum(PowerCache(np.ones((2, 2, 2), dtype=np.uint8)).diag_array(63))
+    plus, minus = PowerCache(np.ones((2, 2, 2), dtype=np.uint8)).diag_array(63)
+    half, trace = half_sum(plus, minus)
     assert half.tolist() == [2**62, 2**62]
     assert trace == 2**64
 
 
 def test_half_sum_needs_two_matrices_and_odd_primes():
+    plus, minus = PowerCache(random_01_stack(2, 4, 1), (2, 3)).diag_array(2)
     with pytest.raises(ValueError):
-        half_sum(PowerCache(random_01_stack(3, 4, 1)).diag_array(2))
-    with pytest.raises(ValueError):
-        half_sum(PowerCache(random_01_stack(2, 4, 1), (2, 3)).diag_array(2), (2, 3))
+        half_sum(plus, minus, (2, 3))
 
 
 def test_modulus_parts_must_be_coprime():

@@ -140,7 +140,7 @@ def test_ladder_json_roundtrip():
 
 def test_family_rook_shrikhande():
     report = distinguish_family(
-        [FX["rook4"], FX["shrikhande"]], params=SrgParams(16, 6, 2, 2)
+        [FX["rook4"], FX["shrikhande"]], family=SrgParams(16, 6, 2, 2).key()
     )
     assert report.count == 2
     assert report.distinguished
@@ -157,7 +157,7 @@ def test_family_rook_shrikhande():
 def test_family_relabeled_pair_exhausts_ladder():
     g = FX["petersen"]
     h, _ = random_relabel(g, 5)
-    report = distinguish_family([g, h], params=SrgParams(10, 3, 0, 1))
+    report = distinguish_family([g, h], family=SrgParams(10, 3, 0, 1).key())
     assert not report.distinguished
     assert len(report.stages) == 17
     assert report.final_classes == 1
@@ -216,7 +216,7 @@ def test_family_chang_graphs_28_12_6_4():
     for i in range(4):
         for j in range(i + 1, 4):
             assert are_isomorphic(family[i], family[j]).status == "non-isomorphic"
-    report = distinguish_family(family, params=params)
+    report = distinguish_family(family, family=params.key())
     assert report.distinguished
     assert len(report.stages) == 1
     assert report.stages[0].classes == 4
@@ -231,7 +231,7 @@ def test_family_complement_pair_16_9_4_6():
     cs = complement_graph(FX["shrikhande"])
     params = SrgParams(16, 9, 4, 6)
     assert check_srg(cr) == params and check_srg(cs) == params
-    report = distinguish_family([cr, cs], params=params)
+    report = distinguish_family([cr, cs], family=params.key())
     assert report.distinguished
     assert report.stages[0].classes == 2 and report.stages[0].powers == (3,)
     assert report.single_block_graphs == 2
@@ -260,7 +260,7 @@ def test_family_needs_one_graph():
     with pytest.raises(ValueError):
         distinguish_family([])
     g = FX["petersen"]
-    report = distinguish_family([g], params=check_srg(g))
+    report = distinguish_family([g], family=check_srg(g).key())
     assert report == dataset_report(load_dataset_text(g.to_graph6())).families[0]
 
 
