@@ -218,6 +218,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"error: {message}\n")
 
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # --help into a closed stdout raises here, in main's try
+        super().exit(status, message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -264,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at shutdown
         return code

@@ -22,9 +22,11 @@ Both blocks are integer matrices, so the sum is an exact, even integer
 and halves exactly (in modular mode, by the inverse of 2 mod ``p1 * p2``).
 Only the blocks are powered, one after the other, and their diagonals
 summed and halved in one place (:func:`matpow.half_sum`). Powers 2..5
-need only the syrk squares ``B±^2`` and ``B±^4`` of each block (see
+need only the squares ``B±^2`` and ``B±^4`` of each block (see
 :mod:`matpow`): a sixth of the flops of powering ``B`` by a syrk square
-and a product. Exact mode checks the entries of the half powers of ``B+``
+and a product. From matpow's syrk order on, both run as float32 syrk
+while their bound ``|E| * max**2`` is <= 2**24, which covers powers 2..5
+of srg(36,15,6,6). Exact mode checks the entries of the half powers of ``B+``
 and ``B-``; a square formed for an odd power stays below 2**53.
 ``B+^h[e,f] = B^h[(a,b),(c,d)] + B^h[(a,b),(d,c)]`` and ``B^h >= 0``, so
 they bound the entries of ``B^h`` in magnitude and are at most twice as
@@ -45,7 +47,7 @@ import threading
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, half_sum, power_cache
+from .matpow import check_powers, half_sum, lift_dtype, power_cache
 
 
 class BarMatrix:
@@ -75,17 +77,20 @@ def build_bar_matrix(g: Graph) -> BarMatrix:
     return BarMatrix(np.stack((s + w, s - w)))
 
 
-# float64 storage for one block's base, B^2 and B^4, shared by the two
-# blocks in turn and reused from one table to the next (one set per
-# thread), so that a table does not fault in fresh pages for its powers;
-# no table array points into them
+# storage for one block's base, B^2 and B^4, shared by the two blocks in
+# turn and reused from one table to the next (one set per thread), so that
+# a table does not fault in fresh pages for its powers; no table array
+# points into them. Their dtype is the one the blocks are lifted to:
+# float32 from matpow's syrk order on (270 edges in srg(36,15,6,6)), where
+# B^2 and B^4 run in float32 while their bound is <= 2**24, and float64
+# below it; a product of another dtype does not land in them.
 _thread_buffers = threading.local()
 
 
-def _bar_buffers(shape: tuple[int, ...]) -> list[np.ndarray]:
+def _bar_buffers(shape: tuple[int, ...], dtype) -> list[np.ndarray]:
     bufs = getattr(_thread_buffers, "bufs", None)
-    if bufs is None or bufs[0].shape != shape:
-        bufs = _thread_buffers.bufs = [np.empty(shape) for _ in range(3)]
+    if bufs is None or bufs[0].shape != shape or bufs[0].dtype != dtype:
+        bufs = _thread_buffers.bufs = [np.empty(shape, dtype) for _ in range(3)]
     return bufs
 
 
@@ -112,7 +117,7 @@ def bar_diag_table(
     """Diagonals of bar-matrix powers, all requested powers in one pass."""
     powers = check_powers(powers, minimum=2)
     bar = build_bar_matrix(g)
-    buffers = _bar_buffers(bar.blocks[:1].shape)
+    buffers = _bar_buffers(bar.blocks[:1].shape, lift_dtype(bar.blocks))
     plus, minus = (_block_diags(block, powers, modulus, buffers) for block in bar.blocks)
     return {p: BarPowerDiag(*half_sum(plus[p], minus[p], modulus)) for p in powers}
 

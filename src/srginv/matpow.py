@@ -9,22 +9,33 @@ a small integer matrix. Diagonals never form the full power: with
 which holds for any square matrix, so only the half powers are formed
 and the diagonal is their row dot product. An odd ``p = 2h + 1`` on a
 symmetric base, with M^h formed and M^(h+1) not, reads its diagonal as
-the row dot of M^(2h) and M instead: M^(2h) is the syrk square of M^h,
-half the flops of the product M^h @ M. That happens only while the
-square's bound ``k * max|M^h|**2`` is <= 2**53: it then runs in float64,
-its values are exact, and no entry of it can overflow. Requested in
+the row dot of M^(2h) and M instead: M^(2h) is the square of M^h, as
+syrk half the flops of the product M^h @ M. That happens only while the
+square's bound ``k * max|M^h|**2`` is <= 2**53: it then runs in float32
+or float64, its values are exact, and no entry of it can overflow. Requested in
 order, powers 2..5 of a symmetric base form M^2 and M^4 (M^2 and M^3 on
 a general one), and powers 3..9 form M^2, M^3, M^4 and M^8 (M^2..M^5).
 
 One rule places every value, bounded by magnitude: a product or row dot
 product with bound ``inner * max|a| * max|b|`` <= 2**53 runs in float64
 (BLAS path), one <= 2**63 - 1 in int64, and a base is placed by its
-largest magnitude, so it is never rounded. :class:`PowerCache` scans each
-power's magnitude once, when the power is formed, and hands it to every
-product and row dot that reads the power. A symmetric base (every bar
-block and neighbourhood stack is one) has symmetric powers, so a square
-runs as ``a @ a.T`` (BLAS syrk, half the flops) and a row dot reads its
-second operand untransposed. Past int64 the modulus decides:
+largest magnitude, so it is never rounded. From order ``_SYRK_ORDER``
+(128) on, a bound <= 2**24 runs in float32 instead, exact by the same
+argument: every partial sum is an integer of magnitude at most the
+bound. Each power is stored in the dtype it was formed in, and a base of
+that order whose square runs in float32 is lifted into float32; a row
+dot of float32 operands past 2**24 sums them in float64 without
+converted copies. :class:`PowerCache` scans each power's magnitude once,
+when the power is formed, and hands it to every product and row dot that
+reads the power.
+
+The product kernel follows the matrix order. Every bar block and
+neighbourhood stack is symmetric, and so are its powers. Below
+``_SYRK_ORDER`` a product runs as gemm on contiguous operands, the
+fastest kernel for the call-bound small stacks; from it on a square runs
+as ``a @ a.T`` (BLAS syrk, half the flops). At any order a row dot on a
+symmetric base reads its second operand untransposed, in place. Past
+int64 the modulus decides:
 
 * exact mode (``modulus=None``): values become Python ints, and a
   half-power entry or diagonal value past the unsigned 64-bit range in
@@ -53,11 +64,19 @@ import operator
 import numpy as np
 
 U64_MAX = 2**64 - 1
+_FLOAT32_SAFE = 2**24
 _FLOAT_SAFE = 2**53
 _INT64_SAFE = 2**63 - 1
-# what each format holds exactly; tests lower the two product thresholds
-# above to force every tier, which must not move a base's own entries
+# what each format holds exactly; tests lower the product thresholds above
+# to force every tier, which must not move a base's own entries
 _FORMAT_LIMITS = (_FLOAT_SAFE, _INT64_SAFE)
+# The order from which a square runs as syrk, and a product with bound
+# <= 2**24 in float32. Medians of np.matmul(a, b, out=), one BLAS thread,
+# gemm against the syrk view, in microseconds: (25,12,12) 4.0 vs 10.1,
+# (36,15,15) 14.5 vs 42.7, (64,21,21) 28.4 vs 73.2, (1,96,96) 22.1 vs
+# 26.9, (1,128,128) 73.2 vs 68.4, (1,270,270) 740 vs 382; float32 syrk
+# took (1,270,270) to 234. Smaller stacks are call-bound and stay float64.
+_SYRK_ORDER = 128
 
 # Two fixed 61-bit primes (2^61 - 1 and 2^61 - 31) for the modular fallback.
 DEFAULT_MODULUS = (2305843009213693951, 2305843009213693921)
@@ -109,19 +128,34 @@ def _tier(bound: int, limits: tuple[int, int] | None = None):
 
 
 def _product_tier(a: np.ndarray, b: np.ndarray, amax: int | None, bmax: int | None):
-    """The tier of ``a @ b`` and of its row dot products; a magnitude not
-    given is scanned."""
+    """The tier of ``a @ b`` and of its row dot products: float32 from
+    order ``_SYRK_ORDER`` on while the bound is <= 2**24, else
+    :func:`_tier`; a magnitude not given is scanned."""
     amax = _entry_max(a) if amax is None else amax
     bmax = _entry_max(b) if bmax is None else bmax
-    return _tier(a.shape[-1] * amax * bmax)
+    bound = a.shape[-1] * amax * bmax
+    if a.shape[-1] >= _SYRK_ORDER and bound <= _FLOAT32_SAFE:
+        return np.float32
+    return _tier(bound)
 
 
 def _as(m: np.ndarray, dtype) -> np.ndarray:
     if m.dtype == dtype:
         return m
-    if dtype is object and m.dtype == np.float64:
+    if dtype is object and m.dtype.kind == "f":
         m = m.astype(np.int64)  # Python ints, not Python floats
     return m.astype(dtype)
+
+
+def lift_dtype(base: np.ndarray, bound: int | None = None):
+    """The dtype :class:`PowerCache` holds ``base`` in: float32 when its
+    square runs there, else the cheapest format that holds every entry
+    (float64, int64 or object). ``bound``, its largest magnitude when the
+    caller knows it, spares a scan."""
+    bound = _entry_max(base) if bound is None else bound
+    if _product_tier(base, base, bound, bound) is np.float32:
+        return np.float32
+    return _tier(bound, _FORMAT_LIMITS)
 
 
 def _fit_int64(x: np.ndarray) -> np.ndarray:
@@ -145,9 +179,10 @@ def _diagonal_values(d: np.ndarray) -> np.ndarray:
     return _check_u64(d, "diagonal") if d.dtype == object else d.astype(np.int64)
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``diag(a @ b)`` of each stacked matrix, in the dtype of ``a`` and ``b``."""
-    return np.einsum("...ij,...ji->...i", a, b)
+def _rowdot(a: np.ndarray, b: np.ndarray, dtype=None) -> np.ndarray:
+    """``diag(a @ b)`` of each stacked matrix, summed in ``dtype``, by
+    default that of ``a`` and ``b``."""
+    return np.einsum("...ij,...ji->...i", a, b, dtype=dtype)
 
 
 def _row_sums(d: np.ndarray) -> np.ndarray:
@@ -168,15 +203,16 @@ def checked_matmul(
     """Exact product of integer matrices (2-d or stacked 3-d).
 
     Raises MatrixOverflowError if any entry of the product would exceed
-    U64_MAX in magnitude. The result dtype varies (float64 / int64 /
-    object) but the values are always exact integers. ``amax`` and
-    ``bmax``, the largest magnitudes of ``a`` and ``b`` when the caller
-    knows them, spare a scan; a float64 product is written into ``out``
-    when it is given and has the product's shape.
+    U64_MAX in magnitude. The result dtype varies (float32 from order
+    ``_SYRK_ORDER`` on, float64, int64, object) but the values are always
+    exact integers. ``amax`` and ``bmax``, the largest magnitudes of ``a``
+    and ``b`` when the caller knows them, spare a scan; the product is
+    written into ``out`` when it is given and has the product's dtype and
+    shape.
     """
     dtype = _product_tier(a, b, amax, bmax)
     a, b = _as(a, dtype), _as(b, dtype)
-    if dtype is np.float64 and out is not None and out.shape == a.shape[:-1] + b.shape[-1:]:
+    if out is not None and out.dtype == dtype and out.shape == a.shape[:-1] + b.shape[-1:]:
         return np.matmul(a, b, out=out)
     return _check_u64(a @ b, "entry")
 
@@ -187,12 +223,15 @@ def checked_rowdot(
     """Exact diagonal of ``a @ b`` without forming the product.
 
     ``out[..., i] = sum_j a[..., i, j] * b[..., j, i]`` for integer
-    matrices (2-d or stacked 3-d). The bound, the magnitudes and the
-    float64 / int64 / object tiers are those of :func:`checked_matmul`; a
-    diagonal value of magnitude above U64_MAX raises MatrixOverflowError.
-    The result is int64, or object when the bound passes the int64 range.
+    matrices (2-d or stacked 3-d). The bound, the magnitudes and the tiers
+    are those of :func:`checked_matmul`; float operands on the float64 tier
+    are summed in float64 as they are, with no converted copy. A diagonal
+    value of magnitude above U64_MAX raises MatrixOverflowError. The
+    result is int64, or object when the bound passes the int64 range.
     """
     dtype = _product_tier(a, b, amax, bmax)
+    if dtype is np.float64 and a.dtype.kind == b.dtype.kind == "f":
+        return _diagonal_values(_rowdot(a, b, np.float64))
     return _diagonal_values(_rowdot(_as(a, dtype), _as(b, dtype)))
 
 
@@ -204,16 +243,20 @@ class PowerCache:
     exponents; it returns exact values, or in modular mode past int64
     values reduced mod ``p1 * p2``. ``diag_array(p)`` forms only the half
     powers, and for an odd p = 2h + 1 on a symmetric base M^(2h) in place
-    of a missing M^(h+1) while that square stays on float64 (see the
-    module docstring). The (m, k) diagonals and (m,) traces are exact
-    values, or in modular mode the residues mod ``p1 * p2``, the exact
-    value below it; either way int64 exactly when every value fits, else
-    object. A modular trace is the residue of the sum of its true diagonal.
+    of a missing M^(h+1) while that square's bound is <= 2**53 (see the
+    module docstring). Each power is stored in the dtype it was formed in:
+    float32 for a product of order ``_SYRK_ORDER`` or more with bound
+    <= 2**24, else float64 up to 2**53, then int64 and object. The (m, k)
+    diagonals and (m,) traces are exact values, or in modular mode the
+    residues mod ``p1 * p2``, the exact value below it; either way int64
+    exactly when every value fits, else object. A modular trace is the
+    residue of the sum of its true diagonal.
 
-    ``buffers`` are float64 arrays of the base's shape that the float64
-    base and powers are written into, as far as they last. ``power`` may
-    return one of them; no diagonal or trace is one, so a caller that
-    keeps only those may reuse the buffers once the cache is dropped.
+    ``buffers`` are arrays of the base's shape that the base and powers of
+    their dtype (:func:`lift_dtype` gives the base's) are written into, as
+    far as they last. ``power`` may return one of them; no diagonal or
+    trace is one, so a caller that keeps only those may reuse the buffers
+    once the cache is dropped.
     """
 
     def __init__(
@@ -246,33 +289,34 @@ class PowerCache:
 
     def _lift(self, base: np.ndarray) -> None:
         bound = _entry_max(base)
-        dtype = _tier(bound, _FORMAT_LIMITS)
+        dtype = lift_dtype(base, bound)
         if dtype is object and self.modulus is not None:
             base = self._reduced(base)
             bound = _entry_max(base)
-        elif dtype is np.float64 and self._spare and base.dtype != np.float64:
+        elif self._spare and self._spare[-1].dtype == dtype and base.dtype != dtype:
             buf = self._spare.pop()
             np.copyto(buf, base)
             base = buf
         self._pows[1], self._max[1] = _as(base, dtype), bound
 
-    def _combine(self, checked, raw, i: int, j: int, **kwargs) -> np.ndarray:
+    def _combine(self, checked, raw, i: int, j: int, view: bool, **kwargs) -> np.ndarray:
         """``checked`` on powers ``i`` and ``j`` with their magnitudes; in
         modular mode past int64, ``raw`` on Python ints, reduced mod
-        ``p1 * p2``. On a symmetric base ``j`` is passed transposed, the
-        same matrix: a square then runs as BLAS syrk, and a row dot reads
-        ``j`` in place."""
+        ``p1 * p2``. With ``view``, on a symmetric base ``j`` is passed
+        transposed, the same matrix: a square then runs as BLAS syrk, and a
+        row dot reads ``j`` in place."""
         a, b, amax, bmax = self._pows[i], self._pows[j], self._max[i], self._max[j]
-        if self._symmetric:
+        if view and self._symmetric:
             b = np.swapaxes(b, -1, -2)
         if self.modulus is not None and _tier(a.shape[-1] * amax * bmax) is object:
             return self._reduced(raw(_as(a, object), _as(b, object)))
         return checked(a, b, amax=amax, bmax=bmax, **kwargs)
 
     def _squares_exactly(self, h: int) -> bool:
-        """Whether the square of power ``h`` runs as syrk in float64."""
+        """Whether the square of power ``h`` is symmetric and runs on a
+        float tier, so it is exact and cannot overflow."""
         bound = self._pows[h].shape[-1] * self._max[h] ** 2
-        return self._symmetric and _tier(bound) is np.float64
+        return self._symmetric and bound <= _FLOAT_SAFE
 
     def power(self, p: int) -> np.ndarray:
         if p < 1:
@@ -282,7 +326,8 @@ class PowerCache:
             i = p // 2 if p % 2 == 0 else p - 1
             self.power(i)
             out = self._spare[-1] if self._spare else None
-            got = self._combine(checked_matmul, np.matmul, i, p - i, out=out)
+            syrk = self._pows[1].shape[-1] >= _SYRK_ORDER  # else gemm
+            got = self._combine(checked_matmul, np.matmul, i, p - i, syrk, out=out)
             if out is not None and got is out:
                 self._spare.pop()
             self._pows[p], self._max[p] = got, _entry_max(got)
@@ -298,9 +343,9 @@ class PowerCache:
                 i, j = h, p - h
                 self.power(h)
                 if j not in self._pows and self._squares_exactly(h):
-                    i, j = 2 * h, 1  # odd p: M^(2h) by syrk, not M^(h+1)
+                    i, j = 2 * h, 1  # odd p: M^(2h) as a square, not M^(h+1)
                 self.power(i), self.power(j)
-                got = self._combine(checked_rowdot, _rowdot, i, j)
+                got = self._combine(checked_rowdot, _rowdot, i, j, True)
             else:
                 got = np.diagonal(self._pows[1], axis1=-2, axis2=-1)
                 if self.modulus is None or got.dtype != object:  # reduced ones may pass u64

@@ -144,10 +144,13 @@ class NeighborhoodPowerCache:
         dense, deg, v = self.graph.dense(), self.degrees, self.graph.v
         kmax = int(deg.max(initial=0))
         real = np.arange(kmax) < deg[:, None]
-        # each vertex's neighbors ascending, then the isolated index v
+        # each vertex's neighbors ascending, then the isolated index v; the
+        # dense matrix is 0/1 uint8, so its bool view has the same nonzeros
         nb = np.full((v, kmax), v)
-        nb[real] = np.nonzero(dense)[1]
-        stack = np.pad(dense, (0, 1)).ravel().take(nb[:, :, None] * (v + 1) + nb[:, None, :])
+        nb[real] = np.nonzero(dense.view(bool))[1]
+        padded = np.zeros((v + 1, v + 1), dense.dtype)
+        padded[:v, :v] = dense
+        stack = padded.ravel().take(nb[:, :, None] * (v + 1) + nb[:, None, :])
         cache = power_cache(stack, self.modulus)
         for p in missing:
             self._diag[p] = np.sort(cache.diag_array(p), axis=1)

@@ -38,11 +38,13 @@ from srginv.matpow import power_cache
 from srginv.vertexinv import InvariantMode
 
 # matpow thresholds to monkeypatch, lowered so that small matrices run
-# every arithmetic path
+# every arithmetic path: float32 at every order, and float64, int64 or
+# object even where a large matrix would run float32
 TIERS = {
-    "float64": {},
-    "int64": {"_FLOAT_SAFE": 0},
-    "object": {"_FLOAT_SAFE": 0, "_INT64_SAFE": 0},
+    "float32": {"_SYRK_ORDER": 0},
+    "float64": {"_FLOAT32_SAFE": 0},
+    "int64": {"_FLOAT32_SAFE": 0, "_FLOAT_SAFE": 0},
+    "object": {"_FLOAT32_SAFE": 0, "_FLOAT_SAFE": 0, "_INT64_SAFE": 0},
 }
 
 

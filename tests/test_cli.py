@@ -315,7 +315,9 @@ def test_stdin_record_is_cut_at_newline_only():
     (["vertex-inv", "--powers", "3,4,5,6,7,8,9"], 1),
     # a few lines, buffered until the exit flush
     (["check-srg"], 0),
-], ids=["vertex-inv", "check-srg"])
+    # printed by argparse, which exits before the command runs
+    (["report", "--help"], 0),
+], ids=["vertex-inv", "check-srg", "report-help"])
 def test_closed_stdout_ends_quietly(argv, read):
     data = Path(__file__).resolve().parent / "data" / "srg25_switched.g6"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

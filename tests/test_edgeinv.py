@@ -253,18 +253,9 @@ def test_exact_overflow_boundary_on_t8():
         bar_diag_table(g, (12,))
 
 
-def test_bar_tables_in_sequence_equal_fresh_tables(monkeypatch):
-    # Rook(4) and Shrikhande both have 48 edges: the second table reuses
-    # the float64 buffers the first one wrote its base and powers into
-    powers = (2, 3, 4, 5)
-    g1, g2 = FX["rook4"], FX["shrikhande"]
-
-    def fresh(g):
-        monkeypatch.setattr(edgeinv, "_thread_buffers", threading.local())
-        return bar_diag_table(g, powers)
-
-    want = [fresh(g1), fresh(g2)]
-    monkeypatch.setattr(edgeinv, "_thread_buffers", threading.local())
+def record_buffered(monkeypatch) -> list[bool]:
+    """Whether each ``checked_matmul`` product, from now on, was written into
+    the buffer it was given."""
     buffered = []
     real = matpow.checked_matmul
 
@@ -274,8 +265,26 @@ def test_bar_tables_in_sequence_equal_fresh_tables(monkeypatch):
         return got
 
     monkeypatch.setattr(matpow, "checked_matmul", recording)
+    return buffered
+
+
+def test_bar_tables_in_sequence_equal_fresh_tables(monkeypatch):
+    # Rook(4) and Shrikhande both have 48 edges, below the syrk order: the
+    # second table reuses the float64 buffers the first one wrote its base
+    # and powers into
+    powers = (2, 3, 4, 5)
+    g1, g2 = FX["rook4"], FX["shrikhande"]
+
+    def fresh(g):
+        monkeypatch.setattr(edgeinv, "_thread_buffers", threading.local())
+        return bar_diag_table(g, powers)
+
+    want = [fresh(g1), fresh(g2)]
+    monkeypatch.setattr(edgeinv, "_thread_buffers", threading.local())
+    buffered = record_buffered(monkeypatch)
     got = [bar_diag_table(g1, powers)]
     bufs = edgeinv._thread_buffers.bufs
+    assert all(b.dtype == np.float64 for b in bufs)
     got.append(bar_diag_table(g2, powers))
     assert edgeinv._thread_buffers.bufs is bufs
     assert buffered == [True, True] * 4  # B^2 and B^4 of each block of each table
@@ -287,14 +296,19 @@ def test_bar_tables_in_sequence_equal_fresh_tables(monkeypatch):
 
 
 def test_bar_buffers_hold_one_block(monkeypatch):
-    # the blocks are powered one at a time, into three buffers of one block
+    # the blocks are powered one at a time, into three buffers of one block;
+    # 270 edges pass the syrk order, so B^2 and B^4 (bounds 270 * 2**2 and
+    # 270 * 113**2) are float32 syrk squares and the buffers are float32
     monkeypatch.setattr(edgeinv, "_thread_buffers", threading.local())
     graphs, _ = latin_graphs(6, 1, 3, paratopes=True)
     edges = graphs[0].edge_count
+    assert edges == 270 >= matpow._SYRK_ORDER
+    buffered = record_buffered(monkeypatch)
     tables = [bar_diag_table(graphs[0], (2, 3, 4, 5))]
     bufs = edgeinv._thread_buffers.bufs
     assert len(bufs) == 3
-    assert all(b.dtype == np.float64 and b.shape == (1, edges, edges) for b in bufs)
+    assert all(b.dtype == np.float32 and b.shape == (1, edges, edges) for b in bufs)
+    assert buffered == [True, True] * 2
     before = list(bufs)
     tables.append(bar_diag_table(graphs[1], (2, 3, 4, 5)))
     assert edgeinv._thread_buffers.bufs is bufs

@@ -1,4 +1,5 @@
 import ast
+import functools
 import random
 from pathlib import Path
 
@@ -251,7 +252,7 @@ def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
 @pytest.mark.parametrize("modulus", [None, (5, 7), DEFAULT_MODULUS], ids=["exact", "5,7", "61bit"])
 @pytest.mark.parametrize("tier", sorted(TIERS))
 def test_symmetric_kernel_matches_object_powers(tier, modulus, monkeypatch):
-    # on the float64 tier odd powers read diag(M^(2h+1)) off M^(2h) and M;
+    # on the float tiers odd powers read diag(M^(2h+1)) off M^(2h) and M;
     # the last stack passes int64 at M^2, so the modular engines reduce it
     for name, value in TIERS[tier].items():
         monkeypatch.setattr(matpow, name, value)
@@ -266,7 +267,7 @@ def test_symmetric_kernel_matches_object_powers(tier, modulus, monkeypatch):
             got = cache.diag_array(p).tolist()
             assert got == [[residue(x, modulus) for x in row] for row in want]
             assert cache.traces(p) == [residue(sum(row), modulus) for row in want]
-        if tier == "float64" and i < 2:
+        if tier in ("float32", "float64") and i < 2:
             assert {8, 10, 12} <= cache._pows.keys()
 
 
@@ -431,3 +432,99 @@ def test_modular_engine_takes_the_exact_fast_path(matmul_calls):
         want = exact.signature_values((3,), mode)
         got = mod.signature_values((3,), mode)
         assert got == [tuple(residue(x, DEFAULT_MODULUS) for x in row) for row in want]
+
+
+SYRK_ORDER = matpow._SYRK_ORDER  # read before a test lowers it
+
+
+def object_diagonals(stack, top: int) -> dict[int, list[list[int]]]:
+    """diag(M^p) of each stacked matrix for p = 1..top, from Python-int powers."""
+    base = [np.asarray(m).astype(object) for m in stack]
+    want, power = {}, base
+    for p in range(1, top + 1):
+        want[p] = [[int(x) for x in np.diagonal(w)] for w in power]
+        power = [w @ m for w, m in zip(power, base)]
+    return want
+
+
+def test_float32_tier_at_its_bound():
+    # from the syrk order on, a bound of 2^24 runs in float32 and one past it
+    # in float64; 2^24 + 769 is odd, so float32 could not hold it
+    k = SYRK_ORDER
+    assert k == 2**7
+    a, b = np.ones((k, k), dtype=np.int64), np.ones((k, k), dtype=np.int64)
+    a[0], b[:, 0] = 2**8, 2**9
+    for got in (checked_matmul(a, b), checked_rowdot(a, b)):
+        assert got.ravel()[0] == 2**24 == k * 2**8 * 2**9
+    assert checked_matmul(a, b).dtype == np.float32
+    a[0, -1], b[-1, 0] = 2**8 + 1, 2**9 + 1
+    assert float(np.float32(2**24 + 769)) != 2**24 + 769
+    for got in (checked_matmul(a, b), checked_rowdot(a, b)):
+        assert got.ravel()[0] == 2**24 + 769
+    assert checked_matmul(a, b).dtype == np.float64
+    # one order below, the same bound runs in float64
+    assert checked_matmul(a[1:, 1:], b[1:, 1:]).dtype == np.float64
+
+
+@pytest.mark.parametrize("order", [SYRK_ORDER - 1, SYRK_ORDER],
+                         ids=["gemm", "syrk"])
+def test_kernel_by_order_matches_object_powers(order, monkeypatch):
+    # below the syrk order products run as float64 gemm on contiguous
+    # operands; from it on a square runs as syrk, a @ a.T, in float32 while
+    # its bound is <= 2^24 (all but M^8 here), and the powers keep that dtype
+    products = []
+    real = matpow.checked_matmul
+
+    def recording(a, b, **kwargs):
+        products.append((a, b))
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(matpow, "checked_matmul", recording)
+    stack = random_symmetric_stack(1, order, 700)
+    want = object_diagonals(stack, 9)
+    cache = PowerCache(stack)
+    for p in range(1, 10):
+        assert cache.diag_array(p).tolist() == want[p]
+        assert cache.traces(p) == [sum(row) for row in want[p]]
+    assert sorted(cache._pows) == [1, 2, 3, 4, 8]
+    syrk = order >= SYRK_ORDER
+    # formed in the order M^2, M^4, M^3 = M^2 M, M^8; on a symmetric base
+    # the syrk order passes the second operand as a transposed view
+    assert [np.shares_memory(a, b) for a, b in products] == [True, True, False, True]
+    assert all(b.flags.c_contiguous is not syrk for _, b in products)
+    dtypes = [cache._pows[p].dtype for p in (1, 2, 3, 4, 8)]
+    assert dtypes == ([np.float32] * 4 if syrk else [np.float64] * 4) + [np.float64]
+
+
+@functools.cache
+def boundary_case(edge: int):
+    """A symmetric (1, 128, 128) matrix, random 0/1 with row and column 0
+    set to ``edge`` so that (M^2)[0, 0] is the square's bound 128 * edge^2,
+    and its diagonals up to power 8 (the oracle takes about a second)."""
+    stack = random_symmetric_stack(1, SYRK_ORDER, 701).astype(np.int64)
+    stack[0, 0, :] = stack[0, :, 0] = edge
+    return stack, object_diagonals(stack, 8)
+
+
+@pytest.mark.parametrize("modulus", [None, (5, 7), DEFAULT_MODULUS], ids=["exact", "5,7", "61bit"])
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_large_order_tiers_match_object_powers(tier, modulus, monkeypatch):
+    # 128 * 362^2 = 16773632 <= 2^24 < 128 * 363^2: at the syrk order the
+    # first square is a float32 product that reaches its bound, the second a
+    # float64 one; every forced tier matches the Python-int powers (exact
+    # values pass u64 at power 6, reduced ones do not)
+    for name, value in TIERS[tier].items():
+        monkeypatch.setattr(matpow, name, value)
+    top = 5 if modulus is None else 8
+    for edge, square in ((362, np.float32), (363, np.float64)):
+        stack, want = boundary_case(edge)
+        assert (SYRK_ORDER * edge**2 <= 2**24) is (square is np.float32)
+        assert want[2][0][0] == SYRK_ORDER * edge**2
+        cache = PowerCache(stack, modulus)
+        for p in range(1, top + 1):
+            assert cache.diag_array(p).tolist() == [[residue(x, modulus) for x in want[p][0]]]
+            assert cache.traces(p) == [residue(sum(want[p][0]), modulus)]
+        if tier == "float32":
+            assert cache._pows[2].dtype == square
+        else:
+            assert all(m.dtype != np.float32 for m in cache._pows.values())
