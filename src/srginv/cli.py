@@ -49,7 +49,11 @@ def _parse_powers(text: str, minimum: int) -> tuple[int, ...]:
 def _load_ladder(choice: str) -> LadderConfig:
     if choice == "default":
         return default_ladder()
-    return LadderConfig.from_json(Path(choice).read_text())
+    text = Path(choice).read_text()
+    try:
+        return LadderConfig.from_json(text)
+    except ValueError as e:
+        raise ValueError(f"{choice}: {e}") from None
 
 
 def _read_graphs_exactly(path: str, count: int) -> list[Graph]:

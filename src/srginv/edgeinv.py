@@ -35,14 +35,16 @@ most one bit of range earlier (on T(8), edge power 11 is exact and 12
 overflows, either way).
 
 Both orientations of an edge share its diagonal value, so a table keeps
-per power only the |E| values of the undirected edges, in lexicographic
-order, as an array (int64 when every value fits). The sorted diagonal
-over the 2|E| directed edges repeats each sorted value twice.
+per power one :class:`BarPowerDiag`: the |E| values of the undirected
+edges in lexicographic order (int64 when every value fits), and the
+trace. The sorted diagonal over the 2|E| directed edges repeats each
+sorted value twice.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +96,7 @@ def _bar_buffers(shape: tuple[int, ...], dtype) -> list[np.ndarray]:
     return bufs
 
 
-class BarPowerDiag:
+class BarPowerDiag(NamedTuple):
     """Diagonal of one bar-matrix power, and its trace.
 
     ``values`` holds one value per undirected edge ``e = (a<b)``, in
@@ -104,11 +106,8 @@ class BarPowerDiag:
     ints. The trace, over the directed edges, is a Python int.
     """
 
-    __slots__ = ("values", "trace")
-
-    def __init__(self, values: np.ndarray, trace: int):
-        self.values = values
-        self.trace = trace
+    values: np.ndarray
+    trace: int
 
 
 def bar_diag_table(

@@ -368,13 +368,6 @@ class PowerCache:
     def trace_array(self, p: int) -> np.ndarray:
         return _fit_int64(self._residues(_row_sums(self._diag(p))))
 
-    def diagonals(self, p: int) -> list[tuple[int, ...]]:
-        """Unsorted diagonal of the p-th power, one tuple per stacked matrix."""
-        return [tuple(row) for row in self.diag_array(p).tolist()]
-
-    def traces(self, p: int) -> list[int]:
-        return self.trace_array(p).tolist()
-
 
 def half_sum(plus, minus, modulus: tuple[int, int] | None = None) -> tuple[np.ndarray, int]:
     """Halves of the entrywise sum of two (k,) diagonals, and the trace of

@@ -74,14 +74,6 @@ class LadderStage:
             "powers": list(self.powers),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LadderStage":
-        return cls(
-            StageKind(obj["kind"]),
-            InvariantMode(obj["mode"]),
-            tuple(obj["powers"]),
-        )
-
 
 @dataclass(frozen=True)
 class LadderConfig:
@@ -103,14 +95,17 @@ class LadderConfig:
         return {"stages": [s.to_json_obj() for s in self.stages]}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "LadderConfig":
-        return cls(tuple(LadderStage.from_json_obj(s) for s in obj["stages"]))
-
-    @classmethod
     def from_json(cls, text: str) -> "LadderConfig":
+        """Read back what ``to_json_obj`` writes; a malformed ladder raises
+        ValueError("malformed ladder JSON: ..."), naming the bad value."""
         try:
-            return cls.from_json_obj(json.loads(text))
-        except (KeyError, TypeError) as e:
+            return cls(tuple(
+                LadderStage(StageKind(s["kind"]), InvariantMode(s["mode"]), tuple(s["powers"]))
+                for s in json.loads(text)["stages"]
+            ))
+        except KeyError as e:
+            raise ValueError(f"malformed ladder JSON: missing key {e}") from None
+        except (TypeError, ValueError) as e:
             raise ValueError(f"malformed ladder JSON: {e}") from None
 
 
@@ -168,8 +163,7 @@ class _GraphState:
         self.nbhd.ensure(self.vertex_powers if self.nbhd.powers else powers)
         if stage.kind is StageKind.VERTEX:
             return self.nbhd.signature(powers, mode)
-        ob = outblock_signature(self.graph, powers, mode, modulus=self.modulus, nbhd=self.nbhd)
-        return (ob.base, ob.tail)
+        return outblock_signature(self.graph, powers, mode, modulus=self.modulus, nbhd=self.nbhd)
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,10 @@ class DistinguishReport:
     final_classes: int
     distinguished: bool
     unresolved_pairs: list[tuple[int, int]]
-    pairs_requiring_edge: int
-    shared_vertex_invariant_graphs: int
+    # None when an edge stage ran before the ladder's last vertex stage
+    pairs_requiring_edge: int | None
+    shared_vertex_invariant_graphs: int | None
+    # None when the ladder has no vertex stage
     single_block_graphs: int | None
     # why exact arithmetic gave way to DEFAULT_MODULUS for this family
     fallback: str | None = None
@@ -263,7 +259,7 @@ def _walk_ladder(
     single_flags = [False] * n
     last_vertex = max(
         (k for k, stage in enumerate(ladder.stages) if stage.kind is not StageKind.EDGE),
-        default=None,
+        default=-1,
     )
 
     def drop_vertex_caches(i: int) -> None:
@@ -325,6 +321,10 @@ def _walk_ladder(
         if states[i] is not None:
             finalize(i)
     single_block = sum(single_flags) if vertex_powers else None
+    # an edge stage run before the last vertex stage may have split pairs
+    # that a vertex stage would have split: both figures are then unknown
+    if any(r.stage.kind is StageKind.EDGE for r in results[: last_vertex + 1]):
+        shared_graphs = edge_pairs = None
 
     return DistinguishReport(
         family=family,
@@ -484,17 +484,22 @@ class DatasetReport:
     @property
     def totals(self) -> dict:
         fams = self.families
-        single_known = [f.single_block_graphs for f in fams if f.single_block_graphs is not None]
+
+        def known_sum(values) -> int | None:
+            # the figure over the families that know it; None when none does
+            known = [x for x in values if x is not None]
+            return sum(known) if known else None
+
         return {
             "graphs": sum(f.count for f in fams),
             "families": len(fams),
             "classes": sum(f.final_classes for f in fams),
             "unresolved_pairs": sum(len(f.unresolved_pairs) for f in fams),
-            "pairs_requiring_edge_stages": sum(f.pairs_requiring_edge for f in fams),
-            "shared_vertex_invariant_graphs": sum(
+            "pairs_requiring_edge_stages": known_sum(f.pairs_requiring_edge for f in fams),
+            "shared_vertex_invariant_graphs": known_sum(
                 f.shared_vertex_invariant_graphs for f in fams
             ),
-            "single_block_graphs": sum(single_known) if single_known else None,
+            "single_block_graphs": known_sum(f.single_block_graphs for f in fams),
             "distinguished_all": all(f.distinguished for f in fams),
         }
 
@@ -523,8 +528,8 @@ class DatasetReport:
                 prev = res.classes
             # the stages after the family split run no more
             cells.extend([""] * (len(labels) - len(f.stages)))
-            single = "?" if f.single_block_graphs is None else str(f.single_block_graphs)
-            cells.extend([single, str(f.shared_vertex_invariant_graphs), str(f.pairs_requiring_edge)])
+            figures = (f.single_block_graphs, f.shared_vertex_invariant_graphs, f.pairs_requiring_edge)
+            cells.extend(_figure(x) for x in figures)
             rows.append(cells)
         totals = self.totals
         widths = [max(len(r[c]) for r in rows) for c in range(len(head))]
@@ -536,8 +541,8 @@ class DatasetReport:
         lines.append(
             f"graphs: {totals['graphs']}  families: {totals['families']}  "
             f"classes: {totals['classes']}  unresolved pairs: {totals['unresolved_pairs']}  "
-            f"single-block graphs: {totals['single_block_graphs']}  "
-            f"pairs requiring edge stages: {totals['pairs_requiring_edge_stages']}"
+            f"single-block graphs: {_figure(totals['single_block_graphs'])}  "
+            f"pairs requiring edge stages: {_figure(totals['pairs_requiring_edge_stages'])}"
         )
         if self.modulus:
             lines.append(f"values are mod-reduced (primes {self.modulus[0]}, {self.modulus[1]})")
@@ -545,6 +550,11 @@ class DatasetReport:
         if fell_back:
             lines.append(f"exact arithmetic overflowed, values mod-reduced: {', '.join(fell_back)}")
         return "\n".join(lines)
+
+
+def _figure(x: int | None) -> str:
+    """A count as the text report prints it, ``?`` when it is unknown."""
+    return "?" if x is None else str(x)
 
 
 def dataset_report(

@@ -23,7 +23,7 @@ and :meth:`NeighborhoodPowerCache.signature_values`, the per-vertex values
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +34,6 @@ from .matpow import check_powers, power_cache, sorted_rows
 class InvariantMode(enum.Enum):
     TRACE = "trace"
     SORTED_DIAG = "sortdiag"
-
-
-def row_sort_key(values: tuple[int, ...]):
-    # The order of GraphSignature.rows. Different lengths only occur across
-    # different-degree vertices; compare by length first so the order is total.
-    return (len(values), values)
 
 
 def _value_rows(table: np.ndarray, mode: InvariantMode, npowers: int) -> list[tuple[int, ...]]:
@@ -64,8 +58,8 @@ class GraphSignature:
     largest degree and sorted; a TRACE row is the traces. Values are exact,
     or in modular mode residues mod ``p1 * p2``, the exact value below it.
     The table is int64 when every value fits, else an object array of
-    Python ints. Its rows are in ``row_sort_key`` order of their value
-    tuples: the degree sorts first, as the row length does there, the
+    Python ints. Its rows are in the order of their value tuples by length,
+    then lexicographically: the degree sorts first, as the length does, the
     padding of one degree sits in the same columns, and every value is
     non-negative. Two signatures of the same mode and modulus are equal
     exactly when their ``rows`` are, and compare by the key
@@ -96,18 +90,15 @@ class GraphSignature:
         return f"GraphSignature(rows={self.rows!r})"
 
 
-@dataclass(frozen=True)
-class OutblockSignature:
+class OutblockSignature(NamedTuple):
     """Base graph signature, extended by the signature of the subgraph left
     after deleting the first (smallest-signature) block.
 
-    ``refined`` is False when the base partition has a single block; the
-    tail is then absent and the base signature stands alone.
+    ``tail`` is None when the base partition has a single block; the base
+    signature then stands alone. The ladder keys a graph by the pair.
     """
 
     base: GraphSignature
-    refined: bool
-    removed: tuple[int, ...]
     tail: GraphSignature | None
 
 
@@ -224,11 +215,6 @@ def outblock_signature(
     base = GraphSignature(table, mode, len(powers), modulus)
     first = (table == base._table[0]).all(axis=1)
     if first.all():
-        return OutblockSignature(base, False, (), None)
+        return OutblockSignature(base, None)
     tail = g.induced_subgraph(np.flatnonzero(~first).tolist())
-    return OutblockSignature(
-        base,
-        True,
-        tuple(np.flatnonzero(first).tolist()),
-        graph_signature(tail, powers, mode, modulus=modulus),
-    )
+    return OutblockSignature(base, graph_signature(tail, powers, mode, modulus=modulus))

@@ -54,6 +54,20 @@ def residue(x: int, modulus: tuple[int, int] | None) -> int:
     return x if modulus is None else x % (modulus[0] * modulus[1])
 
 
+def row_sort_key(values: tuple[int, ...]):
+    """The reference order of ``GraphSignature.rows``: per-vertex value
+    tuples by length, then lexicographically. Lengths differ only across
+    vertices of different degree, so the order is total."""
+    return (len(values), values)
+
+
+def first_block(rows) -> list[int]:
+    """The vertices whose value tuple is the smallest by ``row_sort_key``:
+    the block the outblock stage removes."""
+    first = min(rows, key=row_sort_key)
+    return [a for a, row in enumerate(rows) if row == first]
+
+
 def er_graph(v: int, seed: int, p: float = 0.5) -> Graph:
     """Seeded Erdos-Renyi graph."""
     rng = random.Random(seed)
@@ -124,8 +138,8 @@ def nbhd_power_diag(
     sub = g.dense()[np.ix_(nb, nb)]
     cache = power_cache(sub[None, :, :], modulus)
     if mode is InvariantMode.TRACE:
-        return (cache.traces(p)[0],)
-    return tuple(sorted(cache.diagonals(p)[0]))
+        return (cache.trace_array(p).tolist()[0],)
+    return tuple(sorted(cache.diag_array(p)[0].tolist()))
 
 
 def count_closed_walks(g: Graph, start: int, length: int, allowed) -> int:
@@ -166,7 +180,7 @@ def trace_power_signature(
     if not 1 <= pmax <= g.v:
         raise ValueError(f"pmax must be in 1..{g.v}, got {pmax}")
     cache = power_cache(g.dense()[None, :, :], modulus)
-    return tuple(cache.traces(p)[0] for p in range(1, pmax + 1))
+    return tuple(cache.trace_array(p).tolist()[0] for p in range(1, pmax + 1))
 
 
 def directed_edges(g: Graph) -> list[tuple[int, int]]:

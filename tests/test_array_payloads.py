@@ -3,7 +3,7 @@
 The vertex stages key each graph by its signature table as bytes, and the
 outblock stage finds its first block on that table. Here the tuple
 payloads are rebuilt from the per-vertex value tuples
-(``NeighborhoodPowerCache.signature_values``, sorted with
+(``NeighborhoodPowerCache.signature_values``, sorted with the reference
 ``row_sort_key``), and over every pair of graphs the
 two payloads must agree on equality: under each forced arithmetic tier,
 exactly and in modular mode. The edge stages key each graph by its
@@ -25,11 +25,11 @@ from srginv.pipeline import LadderStage, StageKind, _GraphState
 from srginv.vertexinv import (
     InvariantMode,
     NeighborhoodPowerCache,
+    graph_signature,
     outblock_signature,
-    row_sort_key,
 )
 
-from helpers import TIERS, er_graph, srg_fixtures
+from helpers import TIERS, er_graph, first_block, row_sort_key, srg_fixtures
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from latin import latin_graphs  # noqa: E402
@@ -74,10 +74,10 @@ def tuple_payload(g, stage, modulus):
     if stage.kind is StageKind.VERTEX:
         return base
     if base[0] == base[-1]:
-        return (False, base, None)
+        return (base, None)
     keep = [a for a, row in enumerate(vals) if row != base[0]]
     tail = values(g.induced_subgraph(keep), stage.powers, stage.mode, modulus)
-    return (True, base, tuple(sorted(tail, key=row_sort_key)))
+    return (base, tuple(sorted(tail, key=row_sort_key)))
 
 
 @pytest.mark.parametrize(
@@ -150,16 +150,17 @@ def test_outblock_removes_the_first_block_by_residue_order():
     # reduces to (0, 0, 10, 10), below it, so the first block is that one
     g, modulus = er_graph(7, 149, 0.5), (3, 5)
     vals = values(g, (4,), SD, modulus)
-    first = min(vals, key=row_sort_key)
+    removed, by_value = first_block(vals), first_block(values(g, (4,), SD, None))
+    assert removed != by_value
     nb = outblock_signature(g, (4,), SD, modulus=modulus)
-    assert nb.refined
-    assert nb.removed == tuple(a for a, row in enumerate(vals) if row == first)
-    raw = values(g, (4,), SD, None)
-    assert first != vals[raw.index(min(raw, key=row_sort_key))]
     assert nb.base.rows == tuple(sorted(vals, key=row_sort_key))
-    keep = [a for a, row in enumerate(vals) if row != first]
-    tail = values(g.induced_subgraph(keep), (4,), SD, modulus)
-    assert nb.tail.rows == tuple(sorted(tail, key=row_sort_key))
+    tails = {}
+    for block in (removed, by_value):
+        keep = [a for a in range(g.v) if a not in block]
+        rows = values(g.induced_subgraph(keep), (4,), SD, modulus)
+        tails[tuple(block)] = tuple(sorted(rows, key=row_sort_key))
+    # the tail is the subgraph without the residue-order block, and only that one
+    assert nb.tail.rows == tails[tuple(removed)] != tails[tuple(by_value)]
 
 
 def test_python_int_tables_sort_and_key_as_their_rows():
@@ -175,7 +176,6 @@ def test_python_int_tables_sort_and_key_as_their_rows():
             assert sig == again and hash(sig) == hash(again)
             assert sig.rows == tuple(sorted(vals, key=row_sort_key))
         nb = outblock_signature(g, (30,), SD, modulus=DEFAULT_MODULUS)
-        vals = values(g, (30,), SD, DEFAULT_MODULUS)
-        first = min(vals, key=row_sort_key)
-        assert nb.refined
-        assert nb.removed == tuple(a for a, row in enumerate(vals) if row == first)
+        removed = first_block(values(g, (30,), SD, DEFAULT_MODULUS))
+        tail = g.induced_subgraph([a for a in range(g.v) if a not in removed])
+        assert nb.tail == graph_signature(tail, (30,), SD, modulus=DEFAULT_MODULUS)

@@ -379,6 +379,27 @@ def test_malformed_ladder_file(tmp_path, capsys):
     assert "ladder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"stages": [{"kind": "bogus", "mode": "trace", "powers": [3]}]}',
+         "'bogus' is not a valid StageKind"),
+        ('{"stages": [{"kind": "vertex", "mode": "sd", "powers": [3]}]}',
+         "'sd' is not a valid InvariantMode"),
+    ],
+    ids=["not-json", "kind", "mode"],
+)
+def test_bad_ladder_file_names_itself(tmp_path, capsys, text, bad):
+    lf = tmp_path / "ladder.json"
+    lf.write_text(text)
+    fa = write(tmp_path, "a.g6", FX["rook4"])
+    fb = write(tmp_path, "b.g6", FX["shrikhande"])
+    for argv in (["compare", fa, fb], ["report", fa]):
+        assert main([*argv, "--ladder", str(lf)]) == 1
+        assert capsys.readouterr().err == f"error: {lf}: malformed ladder JSON: {bad}\n"
+
+
 def test_ladder_file_with_non_integer_powers(tmp_path, capsys):
     f = write(tmp_path, "fam.g6", FX["rook4"], FX["shrikhande"])
     lf = tmp_path / "ladder.json"

@@ -18,9 +18,9 @@ from srginv.isomorphism import (
     random_relabel,
 )
 
-from srginv.vertexinv import InvariantMode, NeighborhoodPowerCache, row_sort_key
+from srginv.vertexinv import InvariantMode, NeighborhoodPowerCache
 
-from helpers import count_closed_walks, er_graph, fixture_graphs
+from helpers import count_closed_walks, er_graph, fixture_graphs, row_sort_key
 
 FX = fixture_graphs()
 

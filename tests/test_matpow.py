@@ -57,11 +57,11 @@ def test_diagonals_and_traces_consistent():
     stack = random_01_stack(4, 6, 99)
     cache = PowerCache(stack)
     for p in (2, 3, 4, 7):
-        diags = cache.diagonals(p)
-        traces = cache.traces(p)
+        diags = cache.diag_array(p).tolist()
+        traces = cache.trace_array(p).tolist()
         for i in range(4):
             want = exact_power(stack[i], p)
-            assert diags[i] == tuple(int(want[j, j]) for j in range(6))
+            assert diags[i] == [int(want[j, j]) for j in range(6)]
             assert traces[i] == sum(diags[i])
 
 
@@ -100,7 +100,7 @@ def test_exact_base_is_never_rounded_or_wrapped():
     cache = PowerCache(np.array([[[2**53 + 1]]], dtype=object))
     assert cache.power(1).tolist() == [[[2**53 + 1]]]
     assert cache.diag_array(1).tolist() == [[2**53 + 1]]
-    assert cache.traces(1) == [2**53 + 1]
+    assert cache.trace_array(1).tolist() == [2**53 + 1]
     with pytest.raises(MatrixOverflowError):
         PowerCache(np.array([[[2**70]]], dtype=object)).diag_array(1)
 
@@ -116,7 +116,7 @@ def test_outputs_are_int64_exactly_when_the_values_fit():
     cache = PowerCache(np.array([[[2**31, 0], [0, 2**31]]]))
     assert cache.diag_array(2).dtype == np.int64
     assert cache.trace_array(2).dtype == object
-    assert cache.traces(2) == [2**63]
+    assert cache.trace_array(2).tolist() == [2**63]
 
 
 def test_only_matpow_decides_how_values_are_held():
@@ -147,7 +147,7 @@ def test_signed_bases_are_bounded_by_magnitude():
     # bounds from max(a) alone put these products on tiers that cannot hold them
     cache = PowerCache(np.array([[[-(2**31), 1], [1, -(2**31)]]]))
     assert cache.diag_array(2).tolist() == [[2**62 + 1] * 2]
-    assert cache.traces(2) == [2**63 + 2]
+    assert cache.trace_array(2).tolist() == [2**63 + 2]
     with pytest.raises(MatrixOverflowError):
         PowerCache(np.array([[[-(2**40) - 1, 1], [1, 1]]])).diag_array(2)
 
@@ -168,12 +168,12 @@ def test_modular_matches_exact_residues():
     stack = random_01_stack(2, 5, 7)
     mod = ModularPowerCache(stack, DEFAULT_MODULUS)
     for p in (2, 3, 6):
-        got = mod.diagonals(p)
-        traces = mod.traces(p)
+        got = mod.diag_array(p).tolist()
+        traces = mod.trace_array(p).tolist()
         for i in range(2):
             want = exact_power(stack[i], p)
             want_diag = [int(want[j, j]) for j in range(5)]
-            assert got[i] == tuple(residue(x, DEFAULT_MODULUS) for x in want_diag)
+            assert got[i] == [residue(x, DEFAULT_MODULUS) for x in want_diag]
             assert traces[i] == residue(sum(want_diag), DEFAULT_MODULUS)
 
 
@@ -181,7 +181,7 @@ def test_modular_handles_values_past_u64():
     big = np.array([[[2**32]]], dtype=object)
     mod = ModularPowerCache(big, DEFAULT_MODULUS)
     x = (2**32) ** 4
-    assert mod.diagonals(4)[0] == (residue(x, DEFAULT_MODULUS),)
+    assert mod.diag_array(4).tolist() == [[residue(x, DEFAULT_MODULUS)]]
 
 
 def test_power_cache_factory():
@@ -245,8 +245,7 @@ def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
             assert got.dtype == np.int64  # every value fits, whatever the tier
             assert got.tolist() == want
             assert np.diagonal(full.power(p), axis1=1, axis2=2).tolist() == want
-            assert halves.traces(p) == [sum(row) for row in want]
-            assert halves.diagonals(p) == [tuple(row) for row in want]
+            assert halves.trace_array(p).tolist() == [sum(row) for row in want]
 
 
 @pytest.mark.parametrize("modulus", [None, (5, 7), DEFAULT_MODULUS], ids=["exact", "5,7", "61bit"])
@@ -266,7 +265,7 @@ def test_symmetric_kernel_matches_object_powers(tier, modulus, monkeypatch):
             want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
             got = cache.diag_array(p).tolist()
             assert got == [[residue(x, modulus) for x in row] for row in want]
-            assert cache.traces(p) == [residue(sum(row), modulus) for row in want]
+            assert cache.trace_array(p).tolist() == [residue(sum(row), modulus) for row in want]
         if tier in ("float32", "float64") and i < 2:
             assert {8, 10, 12} <= cache._pows.keys()
 
@@ -305,7 +304,7 @@ def test_modular_diagonal_kernel_matches_residues(seed):
         assert mod.diag_array(p).tolist() == [
             [residue(x, DEFAULT_MODULUS) for x in row] for row in want
         ]
-        assert mod.traces(p) == [residue(sum(row), DEFAULT_MODULUS) for row in want]
+        assert mod.trace_array(p).tolist() == [residue(sum(row), DEFAULT_MODULUS) for row in want]
 
 
 def test_rowdot_tiers_at_their_bounds():
@@ -331,7 +330,7 @@ def test_traces_past_int64_stay_exact():
     # each diagonal entry is 2^62 (int64 path); their sum 2^63 is not
     cache = PowerCache(np.ones((1, 2, 2), dtype=np.uint8))
     assert cache.diag_array(63).tolist() == [[2**62, 2**62]]
-    assert cache.traces(63) == [2**63]
+    assert cache.trace_array(63).tolist() == [2**63]
 
 
 @pytest.mark.parametrize("modulus", [None, DEFAULT_MODULUS], ids=["exact", "modular"])
@@ -411,7 +410,7 @@ def test_modular_engine_across_the_residue_switch(name, modulus):
     for p in range(1, 61):
         diags = [[int(x) for x in np.diagonal(w)] for w in want]
         assert mod.diag_array(p).tolist() == [[residue(x, modulus) for x in d] for d in diags]
-        assert mod.traces(p) == [residue(sum(d), modulus) for d in diags]
+        assert mod.trace_array(p).tolist() == [residue(sum(d), modulus) for d in diags]
         # a power is its exact values, or past int64 Python ints reduced mod
         # p1 * p2; reduced (5, 7) values run exactly on float64 again, so
         # the dtype alone does not say which
@@ -485,7 +484,7 @@ def test_kernel_by_order_matches_object_powers(order, monkeypatch):
     cache = PowerCache(stack)
     for p in range(1, 10):
         assert cache.diag_array(p).tolist() == want[p]
-        assert cache.traces(p) == [sum(row) for row in want[p]]
+        assert cache.trace_array(p).tolist() == [sum(row) for row in want[p]]
     assert sorted(cache._pows) == [1, 2, 3, 4, 8]
     syrk = order >= SYRK_ORDER
     # formed in the order M^2, M^4, M^3 = M^2 M, M^8; on a symmetric base
@@ -523,7 +522,7 @@ def test_large_order_tiers_match_object_powers(tier, modulus, monkeypatch):
         cache = PowerCache(stack, modulus)
         for p in range(1, top + 1):
             assert cache.diag_array(p).tolist() == [[residue(x, modulus) for x in want[p][0]]]
-            assert cache.traces(p) == [residue(sum(want[p][0]), modulus)]
+            assert cache.trace_array(p).tolist() == [residue(sum(want[p][0]), modulus)]
         if tier == "float32":
             assert cache._pows[2].dtype == square
         else:

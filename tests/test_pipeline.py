@@ -42,9 +42,14 @@ from srginv.pipeline import (
     load_dataset,
     read_graphs,
 )
-from srginv.vertexinv import InvariantMode, graph_signature, outblock_signature
+from srginv.vertexinv import (
+    InvariantMode,
+    NeighborhoodPowerCache,
+    graph_signature,
+    outblock_signature,
+)
 
-from helpers import er_graph, fixture_graphs
+from helpers import er_graph, first_block, fixture_graphs
 
 FX = fixture_graphs()
 
@@ -171,8 +176,11 @@ def test_family_relabeled_pair_exhausts_ladder():
 def test_each_power_is_formed_once(name, matmul_calls):
     g = rook_graph(4) if name == "rook4" else er_graph(16, 7, 0.4)
     h, _ = random_relabel(g, 5)
-    ob = outblock_signature(g, range(3, 10), InvariantMode.SORTED_DIAG)
-    tail = g.induced_subgraph([a for a in range(g.v) if a not in ob.removed])
+    powers, sd = tuple(range(3, 10)), InvariantMode.SORTED_DIAG
+    removed = first_block(NeighborhoodPowerCache(g).signature_values(powers, sd))
+    tail = g.induced_subgraph([a for a in range(g.v) if a not in removed])
+    ob = outblock_signature(g, powers, sd)
+    assert ob.tail is None or ob.tail == graph_signature(tail, powers, sd)
     matmul_calls.clear()
     report = distinguish_family([g, h])
     assert len(report.stages) == 17 and report.final_classes == 1
@@ -183,10 +191,10 @@ def test_each_power_is_formed_once(name, matmul_calls):
         # B^2 and B^4 of each orientation block
         (1, g.edge_count, g.edge_count): 4,
     }
-    if ob.refined:  # the tail's P2, P4, P3 and P8, in one pass
+    if ob.tail is not None:  # the tail's P2, P4, P3 and P8, in one pass
         tk = max(tail.degree(a) for a in range(tail.v))
         per_graph[(tail.v, tk, tk)] = 4
-    assert name == "rook4" or ob.refined
+    assert name == "rook4" or ob.tail is not None
     assert collections.Counter(matmul_calls) == {s: 2 * n for s, n in per_graph.items()}
 
 
@@ -670,6 +678,30 @@ def test_text_report_matches_golden(case, show_all):
     suffix = "_all" if show_all else ""
     want = (GOLDEN_DIR / f"golden_text_{case}{suffix}.txt").read_text()
     assert report.to_text(show_all=show_all) + "\n" == want
+
+
+def test_an_edge_stage_before_a_vertex_stage_leaves_the_edge_figures_unknown():
+    # Etr3 runs before +sd4 and outblk, so which pairs the vertex stages
+    # would have left to the edge stages is unknown; Petersen alone runs no
+    # stage and shares nothing, so the totals are its figures
+    text = golden_dataset_text(True) + "\n" + petersen_graph().to_graph6()
+    entries = load_dataset_text(text, allow_non_srg=True)
+    report = dataset_report(entries, MIXED_LADDER)
+    figures = {
+        f.family: (f.pairs_requiring_edge, f.shared_vertex_invariant_graphs)
+        for f in report.families
+    }
+    assert figures == {
+        "10-3-0-1": (0, 0), "16-nonsrg": (None, None),
+        "16-6-2-2": (None, None), "28-12-6-4": (None, None),
+    }
+    assert report.totals["pairs_requiring_edge_stages"] == 0
+    assert report.totals["shared_vertex_invariant_graphs"] == 0
+    fam = json.loads(report.to_json())["families"][-1]
+    assert fam["pairs_requiring_edge"] is fam["shared_vertex_invariant_graphs"] is None
+    # an edge stage after the last vertex stage leaves them known
+    later = dataset_report(entries, LadderConfig(MIXED_LADDER.stages[1:]))
+    assert all(f.pairs_requiring_edge is not None for f in later.families)
 
 
 def test_modular_report_equals_exact():

@@ -18,6 +18,7 @@ from helpers import (
     cli_json,
     dense_tilde_power_diag,
     er_graph,
+    first_block,
     fixture_graphs,
     nbhd_power_diag,
     vertex_partition,
@@ -235,7 +236,6 @@ def test_mode_dominance(seed):
 
 def test_outblock_single_block_flagged():
     ob = outblock_signature(FX["petersen"], [3], SD)
-    assert not ob.refined
     assert ob.tail is None
     assert ob.base == graph_signature(FX["petersen"], [3], SD)
 
@@ -243,16 +243,17 @@ def test_outblock_single_block_flagged():
 def test_outblock_refined():
     g = paw_graph()
     ob = outblock_signature(g, [2], SD)
-    assert ob.refined
-    assert ob.removed == (3,)  # pendant vertex carries the smallest signature
+    assert first_block(values(g, [2], SD)) == [3]  # the pendant vertex's
+    assert ob.tail == graph_signature(g.induced_subgraph([0, 1, 2]), [2], SD)
     assert ob.tail == graph_signature(complete_graph(3), [2], SD)
 
 
 def test_outblock_degenerate_tail():
     # removing the leaves of a star keeps only the isolated center
-    ob = outblock_signature(star_graph(3), [2], SD)
-    assert ob.refined
-    assert ob.removed == (1, 2, 3)
+    g = star_graph(3)
+    ob = outblock_signature(g, [2], SD)
+    assert first_block(values(g, [2], SD)) == [1, 2, 3]
+    assert ob.tail == graph_signature(g.induced_subgraph([0]), [2], SD)
     assert ob.tail.rows == ((),)
 
 
