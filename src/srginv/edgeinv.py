@@ -21,10 +21,11 @@ each, divided by sqrt 2, so
 Both blocks are integer matrices, so the sum is an exact, even integer
 and halves exactly (in modular mode, by the inverse of 2 mod ``p1 * p2``).
 Only the blocks are powered, one after the other, and their diagonals
-summed and halved in one place (:func:`matpow.half_sum`). Powers 2..5
-need only the squares ``B±^2`` and ``B±^4`` of each block (see
+summed and halved, every power in one call (:func:`matpow.half_sum`).
+Powers 2..5 need only the squares ``B±^2`` and ``B±^4`` of each block (see
 :mod:`matpow`): a sixth of the flops of powering ``B`` by a syrk square
-and a product. From matpow's syrk order on, both run as float32 syrk
+and a product. Their diagonals are read off them, so only powers 3 and 5
+take a row dot. From matpow's syrk order on, both run as float32 syrk
 while their bound ``|E| * max**2`` is <= 2**24, which covers powers 2..5
 of srg(36,15,6,6). Exact mode checks the entries of the half powers of ``B+``
 and ``B-``; a square formed for an odd power stays below 2**53.
@@ -49,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, half_sum, lift_dtype, power_cache
+from .matpow import check_powers, half_sum, lift_dtype, per_power, power_cache
 
 
 class BarMatrix:
@@ -71,12 +72,21 @@ class BarMatrix:
 
 
 def build_bar_matrix(g: Graph) -> BarMatrix:
-    """Orientation blocks of the bar matrix; an edgeless graph yields empty ones."""
+    """Orientation blocks of the bar matrix; an edgeless graph yields empty ones.
+
+    ``A`` is symmetric, so each ``A[x][:, y]`` is a row take of the column
+    gather ``A[:, y]``: two column gathers of ``A`` and four row takes,
+    each far cheaper than gathering the columns of an |E|-row matrix.
+    """
     a = g.dense().astype(np.int8)  # signed: B- has entries -1..1
     heads, tails = np.nonzero(np.triu(a))
-    s = a[heads][:, heads] * a[tails][:, tails]  # A_ac * A_bd
-    w = a[heads][:, tails] * a[tails][:, heads]  # A_ad * A_bc
-    return BarMatrix(np.stack((s + w, s - w)))
+    at_heads, at_tails = a.take(heads, axis=1), a.take(tails, axis=1)
+    s = at_heads.take(heads, axis=0) * at_tails.take(tails, axis=0)  # A_ac * A_bd
+    w = at_tails.take(heads, axis=0) * at_heads.take(tails, axis=0)  # A_ad * A_bc
+    blocks = np.empty((2, *s.shape), np.int8)
+    np.add(s, w, out=blocks[0])
+    np.subtract(s, w, out=blocks[1])
+    return BarMatrix(blocks)
 
 
 # storage for one block's base, B^2 and B^4, shared by the two blocks in
@@ -118,11 +128,12 @@ def bar_diag_table(
     bar = build_bar_matrix(g)
     buffers = _bar_buffers(bar.blocks[:1].shape, lift_dtype(bar.blocks))
     plus, minus = (_block_diags(block, powers, modulus, buffers) for block in bar.blocks)
-    return {p: BarPowerDiag(*half_sum(plus[p], minus[p], modulus)) for p in powers}
+    values, traces = half_sum(plus, minus, modulus)
+    return {p: BarPowerDiag(v, t) for p, v, t in zip(powers, per_power(values), traces)}
 
 
-def _block_diags(block: np.ndarray, powers, modulus, buffers) -> dict[int, np.ndarray]:
-    """The (|E|,) diagonals of one orientation block's powers; its engine,
-    and with it every power written into ``buffers``, is dropped on return."""
-    cache = power_cache(block[None], modulus, buffers=buffers)
-    return {p: cache.diag_array(p)[0] for p in powers}
+def _block_diags(block: np.ndarray, powers, modulus, buffers) -> np.ndarray:
+    """The (len(powers), |E|) diagonals of one orientation block's powers;
+    its engine, and with it every power written into ``buffers``, is
+    dropped on return."""
+    return power_cache(block[None], modulus, buffers=buffers).diag_arrays(powers)[:, 0]

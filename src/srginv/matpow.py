@@ -15,6 +15,9 @@ square's bound ``k * max|M^h|**2`` is <= 2**53: it then runs in float32
 or float64, its values are exact, and no entry of it can overflow. Requested in
 order, powers 2..5 of a symmetric base form M^2 and M^4 (M^2 and M^3 on
 a general one), and powers 3..9 form M^2, M^3, M^4 and M^8 (M^2..M^5).
+Requested together (:meth:`PowerCache.diag_arrays`), the half powers are
+all formed first, and the diagonal of a formed power is read off it: no
+row dot for diag(M^2) and diag(M^4) of powers 2..5, or M^3, M^4 and M^8.
 
 One rule places every value, bounded by magnitude: a product or row dot
 product with bound ``inner * max|a| * max|b|`` <= 2**53 runs in float64
@@ -52,8 +55,10 @@ int64 the modulus decides:
 
 Every diagonal, trace and half sum returned here is int64 exactly when each
 of its values fits, else an object array of Python ints, whatever tier
-formed it. Only this module decides that, and it builds the keys the
-ladder compares: :func:`sorted_rows` and :func:`sorted_values`.
+formed it, and so is each power of a stack :func:`per_power` splits. Only
+this module decides that, and it builds the keys the ladder compares from
+the values, not the dtype: :func:`sorted_rows` (:func:`row_order`, then
+:func:`keyed_rows`) and :func:`sorted_values`.
 """
 
 from __future__ import annotations
@@ -241,16 +246,19 @@ class PowerCache:
 
     ``power(p)`` squares repeatedly, with one extra multiply for odd
     exponents; it returns exact values, or in modular mode past int64
-    values reduced mod ``p1 * p2``. ``diag_array(p)`` forms only the half
-    powers, and for an odd p = 2h + 1 on a symmetric base M^(2h) in place
-    of a missing M^(h+1) while that square's bound is <= 2**53 (see the
-    module docstring). Each power is stored in the dtype it was formed in:
+    values reduced mod ``p1 * p2``. ``diag_arrays(powers)`` forms only the
+    half powers, and for an odd p = 2h + 1 on a symmetric base M^(2h) in
+    place of a missing M^(h+1) while that square's bound is <= 2**53 (see
+    the module docstring), all before any diagonal; a formed power's
+    diagonal is read off it (a reduced one without the u64 check, as for
+    the base). Each power is stored in the dtype it was formed in:
     float32 for a product of order ``_SYRK_ORDER`` or more with bound
     <= 2**24, else float64 up to 2**53, then int64 and object. The (m, k)
     diagonals and (m,) traces are exact values, or in modular mode the
     residues mod ``p1 * p2``, the exact value below it; either way int64
-    exactly when every value fits, else object. A modular trace is the
-    residue of the sum of its true diagonal.
+    exactly when every value fits, else object, stacked per power by
+    ``diag_arrays`` and ``trace_arrays``. A modular trace is the residue of
+    the sum of its true diagonal.
 
     ``buffers`` are arrays of the base's shape that the base and powers of
     their dtype (:func:`lift_dtype` gives the base's) are written into, as
@@ -333,21 +341,25 @@ class PowerCache:
             self._pows[p], self._max[p] = got, _entry_max(got)
         return got
 
+    def _halves(self, p: int) -> tuple[int, int]:
+        """Two formed powers whose row dot is diag(M^p), p >= 2: (h, p - h)
+        with h = p // 2, or (2h, 1) as the module docstring says."""
+        h = p // 2
+        self.power(h)
+        i, j = h, p - h
+        if j not in self._pows and self._squares_exactly(h):
+            i, j = 2 * h, 1  # odd p: M^(2h) as a square, not M^(h+1)
+        self.power(i), self.power(j)
+        return i, j
+
     def _diag(self, p: int) -> np.ndarray:
-        if p < 1:
-            raise ValueError(f"power must be >= 1, got {p}")
         got = self._diags.get(p)
         if got is None:
-            h = p // 2
-            if h:
-                i, j = h, p - h
-                self.power(h)
-                if j not in self._pows and self._squares_exactly(h):
-                    i, j = 2 * h, 1  # odd p: M^(2h) as a square, not M^(h+1)
-                self.power(i), self.power(j)
-                got = self._combine(checked_rowdot, _rowdot, i, j, True)
+            formed = self._pows.get(p)
+            if formed is None:
+                got = self._combine(checked_rowdot, _rowdot, *self._halves(p), True)
             else:
-                got = np.diagonal(self._pows[1], axis1=-2, axis2=-1)
+                got = np.diagonal(formed, axis1=-2, axis2=-1)
                 if self.modulus is None or got.dtype != object:  # reduced ones may pass u64
                     got = _diagonal_values(got)
             self._diags[p] = got
@@ -362,47 +374,92 @@ class PowerCache:
             return x % n
         return x if x.size == 0 or x.min() >= 0 else _as(x, object) % n
 
+    def _diag_stack(self, powers) -> np.ndarray:
+        """The raw (len(powers), m, k) diagonals, every half power formed
+        first, so that a diagonal whose power got formed is read off it."""
+        for p in powers:
+            if p < 1:
+                raise ValueError(f"power must be >= 1, got {p}")
+            if p not in self._pows and p not in self._diags:
+                self._halves(p)
+        diags = [self._diag(p) for p in powers]
+        return diags[0][None] if len(diags) == 1 else np.stack(diags)
+
+    def diag_arrays(self, powers) -> np.ndarray:
+        """The (len(powers), m, k) diagonals of ``powers`` in one array."""
+        return _fit_int64(self._residues(self._diag_stack(powers)))
+
+    def trace_arrays(self, powers) -> np.ndarray:
+        """The (len(powers), m) traces of ``powers``, summed in one call."""
+        return _fit_int64(self._residues(_row_sums(self._diag_stack(powers))))
+
     def diag_array(self, p: int) -> np.ndarray:
-        return _fit_int64(self._residues(self._diag(p)))
+        return self.diag_arrays((p,))[0]
 
     def trace_array(self, p: int) -> np.ndarray:
-        return _fit_int64(self._residues(_row_sums(self._diag(p))))
+        return self.trace_arrays((p,))[0]
 
 
-def half_sum(plus, minus, modulus: tuple[int, int] | None = None) -> tuple[np.ndarray, int]:
-    """Halves of the entrywise sum of two (k,) diagonals, and the trace of
-    that sum, from diagonals as :meth:`PowerCache.diag_array` reports them
-    under ``modulus``.
+def half_sum(plus, minus, modulus: tuple[int, int] | None = None):
+    """Halves of the entrywise sum of two (..., k) diagonals, and the
+    traces of that sum, from diagonals as :meth:`PowerCache.diag_arrays`
+    reports them under ``modulus``.
 
     Every entrywise sum must be even. Exact sums halve exactly; in modular
     mode a sum of residues is multiplied by the inverse of 2 mod
-    ``p1 * p2``, which needs odd primes, and the trace is its residue. The
-    halves are int64 when every one fits, else an object array.
+    ``p1 * p2``, which needs odd primes, and a trace is its residue. The
+    halves are int64 when every one fits, else an object array; the traces
+    are Python ints, nested as the leading axes (one int for (k,) inputs).
     """
     total = _row_sums(np.stack((plus, minus), axis=-1))
-    trace = _row_sums(total[None]).tolist()[0]
+    traces = _row_sums(total[None])  # (1, ...): an array even for (k,) inputs
     if modulus is None:
-        return _fit_int64(total // 2), trace
+        return _fit_int64(total // 2), traces.tolist()[0]
     n = modulus[0] * modulus[1]
     if n % 2 == 0:
         raise ValueError(f"halving mod {n} needs odd primes")
-    return _fit_int64(_as(total, object) * pow(2, -1, n) % n), trace % n
+    halves = _as(total, object) * pow(2, -1, n) % n
+    return _fit_int64(halves), (_as(traces, object) % n).tolist()[0]
+
+
+def row_order(table: np.ndarray) -> np.ndarray:
+    """The order that puts the rows of a non-negative 2-d table in
+    lexicographic order: int64 rows sort as big-endian byte records, whose
+    byte order is the numeric one (that of ``np.lexsort``) at a fraction of
+    its cost; Python-int rows sort as tuples. Rows sorted by every column
+    are sorted by any leading ones, so one order serves every prefix."""
+    table = _fit_int64(table)
+    if table.dtype == object:
+        rows = table.tolist()
+        return np.array(sorted(range(len(rows)), key=rows.__getitem__), dtype=np.intp)
+    if len(table) <= 1:
+        return np.arange(len(table))
+    record = np.dtype((np.void, 8 * table.shape[1]))
+    return np.argsort(np.ascontiguousarray(table, dtype=">i8").view(record).ravel())
+
+
+def keyed_rows(rows: np.ndarray) -> tuple[np.ndarray, object]:
+    """Rows in sorted order, int64 when every value fits, and a hashable key
+    that follows the values, not the dtype: shape and big-endian bytes
+    (native ones for a single row), or past int64 the rows as tuples."""
+    rows = _fit_int64(rows)
+    if rows.dtype == object:
+        return rows, tuple(map(tuple, rows.tolist()))
+    if len(rows) > 1:
+        rows = rows.astype(">i8", copy=False)
+    return rows, (rows.shape, rows.tobytes())
 
 
 def sorted_rows(table: np.ndarray) -> tuple[np.ndarray, object]:
-    """A non-negative 2-d table with its rows in lexicographic order, and a
-    hashable key of them: int64 rows sort as big-endian byte records, whose
-    byte order is the numeric one (that of ``np.lexsort``) at a fraction of
-    its cost, keyed by shape and bytes; Python-int rows sort as tuples."""
-    if table.dtype == object:
-        rows = table.tolist()
-        order = sorted(range(len(rows)), key=rows.__getitem__)
-        return table[order], tuple(tuple(rows[i]) for i in order)
-    if len(table) > 1:
-        record = np.dtype((np.void, 8 * table.shape[1]))
-        records = np.ascontiguousarray(table, dtype=">i8").view(record).ravel()
-        table = np.sort(records).view(">i8").reshape(table.shape)
-    return table, (table.shape, table.tobytes())
+    """A non-negative 2-d table with its rows in lexicographic order
+    (:func:`row_order`), and their key (:func:`keyed_rows`)."""
+    return keyed_rows(table[row_order(table)])
+
+
+def per_power(stack: np.ndarray) -> list[np.ndarray]:
+    """A stack's arrays along its first axis, each int64 exactly when its
+    own values fit, whatever the other powers hold."""
+    return [_fit_int64(x) for x in stack]
 
 
 def sorted_values(values: np.ndarray):

@@ -98,10 +98,22 @@ class LadderConfig:
     def from_json(cls, text: str) -> "LadderConfig":
         """Read back what ``to_json_obj`` writes; a malformed ladder raises
         ValueError("malformed ladder JSON: ..."), naming the bad value."""
+        def listed(value, what: str, of=object):
+            if not isinstance(value, list) or not all(isinstance(x, of) for x in value):
+                raise ValueError(f"{what}, got {value!r}")
+            return value
+
         try:
+            obj = json.loads(text)
+            if not isinstance(obj, dict):
+                raise ValueError(f"ladder must be an object, got {obj!r}")
             return cls(tuple(
-                LadderStage(StageKind(s["kind"]), InvariantMode(s["mode"]), tuple(s["powers"]))
-                for s in json.loads(text)["stages"]
+                LadderStage(
+                    StageKind(s["kind"]),
+                    InvariantMode(s["mode"]),
+                    tuple(listed(s["powers"], "powers must be a list")),
+                )
+                for s in listed(obj["stages"], "stages must be a list of objects", dict)
             ))
         except KeyError as e:
             raise ValueError(f"malformed ladder JSON: missing key {e}") from None

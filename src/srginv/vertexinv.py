@@ -9,12 +9,15 @@ lexicographically sorted list over all vertices is a graph invariant.
 All vertices are computed together. :class:`NeighborhoodPowerCache`
 gathers every neighborhood into one (v, kmax, kmax) stack, zero-padded to
 the largest degree kmax; a padded slot is an isolated vertex, so it adds
-zeros to the diagonals and nothing to traces or magnitudes. Each power's
-diagonals stay one (v, kmax) array, each row sorted plainly: every value
-is non-negative, so its padding zeros come first. A :class:`GraphSignature`
-is those arrays as one row-sorted table, compared by the key
-:func:`matpow.sorted_rows` builds: its bytes when every value fits int64,
-else its rows of Python ints.
+zeros to the diagonals and nothing to traces or magnitudes. The diagonals
+of the powers computed together are sorted along each row in one call:
+every value is non-negative, so its padding zeros come first. They join
+one table per mode and graph. A :class:`GraphSignature` is its columns of
+some powers as one row-sorted table, compared by the key
+:func:`matpow.keyed_rows` builds: its bytes when every value fits int64,
+else its rows of Python ints. Rows sorted by every column are sorted by
+any leading ones, so a cache finds the row order of its whole table once
+per mode, and a signature of leading powers takes their columns in it.
 Tuples of Python ints are built only when read: :attr:`GraphSignature.rows`
 and :meth:`NeighborhoodPowerCache.signature_values`, the per-vertex values
 ``srginv vertex-inv`` prints.
@@ -28,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, power_cache, sorted_rows
+from .matpow import check_powers, keyed_rows, power_cache, row_order, sorted_rows
 
 
 class InvariantMode(enum.Enum):
@@ -63,14 +66,17 @@ class GraphSignature:
     padding of one degree sits in the same columns, and every value is
     non-negative. Two signatures of the same mode and modulus are equal
     exactly when their ``rows`` are, and compare by the key
-    :func:`matpow.sorted_rows` gives; ``rows``, the value tuples the API
+    :func:`matpow.keyed_rows` gives; ``rows``, the value tuples the API
     returns, are built on each read.
     """
 
     __slots__ = ("_key", "_table", "_layout")
 
-    def __init__(self, table: np.ndarray, mode: InvariantMode, npowers: int, modulus):
-        self._table, body = sorted_rows(table)
+    def __init__(self, table: np.ndarray, mode: InvariantMode, npowers: int, modulus, body=None):
+        # ``body``, when given, is the key of a table whose rows are sorted
+        if body is None:
+            table, body = sorted_rows(table)
+        self._table = table
         self._layout = (mode, npowers)
         self._key = (mode, modulus, body)
 
@@ -105,35 +111,43 @@ class OutblockSignature(NamedTuple):
 class NeighborhoodPowerCache:
     """Per-vertex diagonals and traces of neighborhood powers, cached by power.
 
-    Per power it keeps the (v, kmax) sorted diagonals, each row's padding
-    zeros first, and the (v,) traces: exact values, or in modular mode
-    residues mod ``p1 * p2``, the exact value below it; int64 when every
-    value fits. The power engine and its matrices are dropped when
-    ``ensure`` returns, so this stays cheap enough to keep alive per graph
-    across the ladder.
+    Per mode it keeps one table over every power computed so far, its
+    columns in the order they were computed and its rows in vertex order:
+    a SORTED_DIAG row is the degree, then each power's (kmax,) diagonal
+    sorted with its padding zeros first; a TRACE row is the traces. Values
+    are exact, or in modular mode residues mod ``p1 * p2``, the exact value
+    below it; a table is int64 when every value fits. Per mode it also
+    keeps the order that sorts the table's rows, until it computes more
+    powers. The power engine and its matrices are dropped when ``ensure``
+    returns, so this stays cheap enough to keep alive per graph across the
+    ladder.
     """
 
     def __init__(self, g: Graph, modulus: tuple[int, int] | None = None):
         self.graph = g
         self.modulus = modulus
         self.degrees = g.dense().sum(axis=1, dtype=np.int64)
-        self._diag: dict[int, np.ndarray] = {}
-        self._trace: dict[int, np.ndarray] = {}
+        self._kmax = int(self.degrees.max(initial=0))
+        self._held: tuple[int, ...] = ()  # the tables' powers, in column order
+        self._tables = {
+            InvariantMode.TRACE: np.zeros((g.v, 0), np.int64),
+            InvariantMode.SORTED_DIAG: self.degrees[:, None],
+        }
+        self._orders: dict[InvariantMode, np.ndarray] = {}
 
     @property
     def powers(self) -> tuple[int, ...]:
         """The powers computed so far, ascending."""
-        return tuple(sorted(self._diag))
+        return tuple(sorted(self._held))
 
     def ensure(self, powers) -> None:
         """Sorted diagonals and traces of (A|_{N_a})^p for every vertex, for
         each power not cached yet, from one padded (v, kmax, kmax) stack
         gathered with a single flat take."""
-        missing = sorted(set(powers) - self._diag.keys())
+        missing = sorted(set(powers) - set(self._held))
         if not missing:
             return
-        dense, deg, v = self.graph.dense(), self.degrees, self.graph.v
-        kmax = int(deg.max(initial=0))
+        dense, deg, v, kmax = self.graph.dense(), self.degrees, self.graph.v, self._kmax
         real = np.arange(kmax) < deg[:, None]
         # each vertex's neighbors ascending, then the isolated index v; the
         # dense matrix is 0/1 uint8, so its bool view has the same nonzeros
@@ -143,19 +157,42 @@ class NeighborhoodPowerCache:
         padded[:v, :v] = dense
         stack = padded.ravel().take(nb[:, :, None] * (v + 1) + nb[:, None, :])
         cache = power_cache(stack, self.modulus)
-        for p in missing:
-            self._diag[p] = np.sort(cache.diag_array(p), axis=1)
-            self._trace[p] = cache.trace_array(p)
+        diags = np.sort(cache.diag_arrays(missing), axis=-1)
+        traces = cache.trace_arrays(missing)
+        trace, sd = self._tables[InvariantMode.TRACE], self._tables[InvariantMode.SORTED_DIAG]
+        self._tables[InvariantMode.TRACE] = np.hstack([trace, traces.T])
+        self._tables[InvariantMode.SORTED_DIAG] = np.hstack([sd, *diags])
+        self._held += tuple(missing)
+        self._orders.clear()
 
     def _table(self, powers: tuple[int, ...], mode: InvariantMode) -> np.ndarray:
-        """The rows of :class:`GraphSignature`, in vertex order."""
+        """The rows of :class:`GraphSignature`, in vertex order: a column
+        slice of the mode's table when ``powers`` lead its powers."""
         self.ensure(powers)
-        if mode is InvariantMode.TRACE:
-            return np.stack([self._trace[p] for p in powers], axis=1)
-        return np.hstack([self.degrees[:, None], *(self._diag[p] for p in powers)])
+        n = len(powers)
+        if powers == self._held[:n]:
+            return self._tables[mode][:, : self._width(n, mode)]
+        columns = [self._held.index(p) for p in powers]
+        if mode is InvariantMode.SORTED_DIAG:
+            k = self._kmax
+            columns = [0, *(1 + i * k + j for i in columns for j in range(k))]
+        return self._tables[mode][:, columns]
+
+    def _width(self, npowers: int, mode: InvariantMode) -> int:
+        return npowers if mode is InvariantMode.TRACE else 1 + npowers * self._kmax
 
     def signature(self, powers: tuple[int, ...], mode: InvariantMode) -> GraphSignature:
-        return GraphSignature(self._table(powers, mode), mode, len(powers), self.modulus)
+        """The signature at ``powers``; when they lead the held powers, the
+        leading columns of the mode's table in its row order."""
+        self.ensure(powers)
+        n = len(powers)
+        if powers != self._held[:n]:
+            return GraphSignature(self._table(powers, mode), mode, n, self.modulus)
+        order = self._orders.get(mode)
+        if order is None:
+            order = self._orders[mode] = row_order(self._tables[mode])
+        rows, body = keyed_rows(self._tables[mode][order, : self._width(n, mode)])
+        return GraphSignature(rows, mode, n, self.modulus, body)
 
     def single_block(self, powers) -> bool:
         """True when every vertex has the same degree and the same sorted
@@ -164,9 +201,10 @@ class NeighborhoodPowerCache:
         only when those do not split the vertices."""
 
         def uniform(held) -> bool:
-            return all((x == x[:1]).all() for x in (self.degrees, *(self._diag[p] for p in held)))
+            table = self._table(tuple(held), InvariantMode.SORTED_DIAG)
+            return bool((table == table[:1]).all())
 
-        if not uniform([p for p in self._diag if p in powers]):
+        if not uniform(p for p in self._held if p in powers):
             return False
         self.ensure(powers)
         return uniform(powers)
@@ -212,7 +250,7 @@ def outblock_signature(
     table = nbhd._table(powers, mode)
     if not len(table):
         raise ValueError("cannot partition an empty signature list")
-    base = GraphSignature(table, mode, len(powers), modulus)
+    base = nbhd.signature(powers, mode)
     first = (table == base._table[0]).all(axis=1)
     if first.all():
         return OutblockSignature(base, None)

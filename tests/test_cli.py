@@ -387,8 +387,15 @@ def test_malformed_ladder_file(tmp_path, capsys):
          "'bogus' is not a valid StageKind"),
         ('{"stages": [{"kind": "vertex", "mode": "sd", "powers": [3]}]}',
          "'sd' is not a valid InvariantMode"),
+        ('{"stages": 5}', "stages must be a list of objects, got 5"),
+        ('{"stages": [[3]]}', "stages must be a list of objects, got [[3]]"),
+        ('{"stages": [{"kind": "vertex", "mode": "trace", "powers": 3}]}',
+         "powers must be a list, got 3"),
+        ('{"stages": [{"kind": "vertex", "mode": "trace", "powers": "34"}]}',
+         "powers must be a list, got '34'"),
+        ("[]", "ladder must be an object, got []"),
     ],
-    ids=["not-json", "kind", "mode"],
+    ids=["not-json", "kind", "mode", "stages", "stage", "powers", "powers-text", "top-level"],
 )
 def test_bad_ladder_file_names_itself(tmp_path, capsys, text, bad):
     lf = tmp_path / "ladder.json"

@@ -18,7 +18,11 @@ from srginv.matpow import (
     checked_matmul,
     checked_rowdot,
     half_sum,
+    keyed_rows,
+    per_power,
     power_cache,
+    row_order,
+    sorted_rows,
 )
 from srginv.vertexinv import InvariantMode, NeighborhoodPowerCache
 
@@ -364,6 +368,17 @@ def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
             assert trace == residue(int(sum(total)), modulus)
 
 
+def test_half_sum_halves_a_stack_of_powers():
+    # one call halves every power: traces nest as the leading axis
+    m, n = random_01_stack(2, 6, 501).astype(np.int64)
+    plus, minus = PowerCache((m + n)[None]), PowerCache((m - n)[None])
+    powers = (2, 3, 4, 5)
+    halves, traces = half_sum(plus.diag_arrays(powers)[:, 0], minus.diag_arrays(powers)[:, 0])
+    for p, half, trace in zip(powers, halves, traces):
+        want = half_sum(plus.diag_array(p)[0], minus.diag_array(p)[0])
+        assert half.tolist() == want[0].tolist() and trace == want[1]
+
+
 def test_half_sum_past_int64_stays_exact():
     # each diagonal entry is 2^62 (int64 path); their sum 2^63 is not
     plus, minus = PowerCache(np.ones((2, 2, 2), dtype=np.uint8)).diag_array(63)
@@ -386,6 +401,88 @@ def test_modulus_parts_must_be_coprime():
             PowerCache(stack, modulus)
     for modulus in [(5, 7), DEFAULT_MODULUS]:
         assert PowerCache(stack, modulus).modulus == modulus
+
+
+def test_leading_columns_key_as_a_fresh_sort():
+    # the last column passes 2^63, so the table holds Python ints; its
+    # leading columns fit, and in the whole table's row order they must key
+    # as the int64 bytes a sort of them alone gives, or two graphs that
+    # agree on them could split early
+    table = np.array(
+        [[3, 1, 2**63], [1, 5, 7], [3, 0, 2**64 - 1], [1, 5, 2], [0, 9, 2**63 + 1]], dtype=object
+    )
+    rows, key = sorted_rows(table)
+    assert rows.dtype == object and type(key) is tuple
+    assert keyed_rows(table[row_order(table)])[1] == key
+    for n in (1, 2, len(table)):  # one row keys on its native bytes
+        order = row_order(table[:n])
+        for width in (1, 2):
+            fresh = table[:n, :width].astype(np.int64)
+            got, want = keyed_rows(table[:n][order, :width]), sorted_rows(fresh)
+            assert got[0].dtype != object and type(got[1][1]) is bytes
+            assert got[1] == want[1]
+            assert got[0].tolist() == want[0].tolist()
+            # the key follows the values: Python ints that fit key as int64
+            assert sorted_rows(fresh.astype(object))[1] == want[1]
+
+
+def test_each_power_of_a_stack_is_int64_when_it_fits():
+    # diag(M^2) passes 2^63, so the stack of powers 1 and 2 holds Python
+    # ints; split per power, power 1 is int64 again
+    cache = PowerCache(np.array([[[2**32 - 1]]], dtype=object))
+    stack = cache.diag_arrays((1, 2))
+    assert stack.dtype == object
+    one, two = per_power(stack)
+    assert one.dtype == np.int64 and one.tolist() == [[2**32 - 1]]
+    assert two.dtype == object and two.tolist() == [[(2**32 - 1) ** 2]]
+    halves, traces = half_sum(stack[:, 0], stack[:, 0])
+    assert [h.dtype for h in per_power(halves)] == [np.int64, object]
+    assert traces == [2 * (2**32 - 1), 2 * (2**32 - 1) ** 2]
+
+
+def test_diagonals_are_read_off_formed_powers(monkeypatch):
+    # powers 2..5 of a symmetric base form M^2 and M^4 for the odd powers,
+    # so only diag(M^3) and diag(M^5) take a row dot; 3..9 form M^2, M^3,
+    # M^4 and M^8, so 5, 6, 7 and 9 do
+    rowdots = []
+    real = matpow.checked_rowdot
+
+    def recording(a, b, **kwargs):
+        rowdots.append(a.shape)
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(matpow, "checked_rowdot", recording)
+    for powers, dots in ((range(2, 6), 2), (range(3, 10), 4)):
+        stack = random_symmetric_stack(3, 6, 602)
+        rowdots.clear()
+        got = PowerCache(stack).diag_arrays(powers)
+        assert len(rowdots) == dots
+        want = object_diagonals(stack, 9)
+        assert got.tolist() == [want[p] for p in powers]
+        rowdots.clear()
+        one = PowerCache(stack)  # one power at a time reads off only M^1
+        assert [one.diag_array(p).tolist() for p in powers] == [want[p] for p in powers]
+        assert len(rowdots) == len(powers)
+
+
+@pytest.mark.parametrize("modulus", [(5, 7), DEFAULT_MODULUS], ids=["5,7", "61bit"])
+def test_modular_diagonals_read_off_reduced_powers(modulus):
+    # entries pass int64 at M^2, so the formed powers hold reduced Python
+    # ints (small enough for float64 again under (5, 7)); under the 61-bit
+    # primes they pass u64, and diagonals read off them skip the u64 check
+    stack = random_symmetric_stack(2, 5, 603).astype(object) * (2**40 + 7)
+    cache = PowerCache(stack, modulus)
+    want = object_diagonals(stack, 9)
+    powers = tuple(range(2, 10))
+    assert cache.diag_arrays(powers).tolist() == [
+        [[residue(x, modulus) for x in row] for row in want[p]] for p in powers
+    ]
+    assert cache.trace_arrays(powers).tolist() == [
+        [residue(sum(row), modulus) for row in want[p]] for p in powers
+    ]
+    if modulus == DEFAULT_MODULUS:
+        assert sorted(cache._pows) == [1, 2, 3, 4, 5]  # diag 2..5 read off them
+        assert max(cache._diags[4].ravel()) > U64_MAX
 
 
 SWITCH_BASES = {

@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from srginv import pipeline, vertexinv
+from srginv import matpow, pipeline, vertexinv
 from srginv.catalog import (
     chang_graphs,
     cycle_graph,
@@ -196,6 +196,36 @@ def test_each_power_is_formed_once(name, matmul_calls):
         per_graph[(tail.v, tk, tk)] = 4
     assert name == "rook4" or ob.tail is not None
     assert collections.Counter(matmul_calls) == {s: 2 * n for s, n in per_graph.items()}
+
+
+def test_each_table_is_sorted_once_per_mode(monkeypatch):
+    # the 16 vertex payloads of a graph sort 4 tables: Tr3's, then one per
+    # mode over powers 3..9 (later stages key on leading columns of it in
+    # that row order, and the outblock base is the sd9 signature), and the
+    # outblock tail's; each edge block takes row dots only for powers 3 and
+    # 5, reading diag(B^2) and diag(B^4) off the squares formed for them
+    g = er_graph(16, 7, 0.4)
+    h, _ = random_relabel(g, 5)
+    calls = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(vertexinv, "row_order")  # a sort of a vertex table, directly
+    count(matpow, "row_order")  # or through sorted_rows
+    count(matpow, "checked_rowdot")
+    report = distinguish_family([g, h])
+    assert len(report.stages) == 17 and report.final_classes == 1
+    assert calls["row_order"] == 2 * 4
+    calls.clear()
+    bar_diag_table(g, (2, 3, 4, 5))
+    assert calls["checked_rowdot"] == 2 * 2
 
 
 def test_single_block_flag_reads_the_held_powers_first(matmul_calls):

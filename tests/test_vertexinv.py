@@ -1,11 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from srginv.catalog import complete_graph, cycle_graph, star_graph
+from srginv.catalog import chang_graphs, complete_graph, cycle_graph, star_graph
 from srginv.graph import Graph
 from srginv.isomorphism import apply_permutation, random_relabel
 from srginv.matpow import DEFAULT_MODULUS
+from srginv.pipeline import StageKind, default_ladder, read_graphs
 from srginv.vertexinv import (
     InvariantMode,
     NeighborhoodPowerCache,
@@ -321,3 +323,41 @@ def test_batched_kernel_matches_per_vertex_reference(mode, modulus):
         for a, row in enumerate(values(g, powers, mode, modulus)):
             want = sum((nbhd_power_diag(g, a, p, mode, modulus=modulus) for p in powers), ())
             assert row == want
+
+
+SRG25 = Path(__file__).resolve().parent / "data" / "srg25_switched.g6"
+
+
+@pytest.mark.parametrize("modulus", [None, DEFAULT_MODULUS], ids=["exact", "modular"])
+def test_leading_signatures_equal_fresh_ones(modulus):
+    # a graph holding every vertex power of the ladder keys each vertex
+    # stage on leading columns of one table per mode, in one row order; it
+    # must equal the signature sorted from that stage's own table
+    ladder = default_ladder()
+    stages = [s for s in ladder.stages if s.kind is StageKind.VERTEX]
+    assert len(stages) == 14
+    graphs = [*FX.values(), *(g for _, _, g in read_graphs(SRG25))]
+    for g in graphs:
+        nbhd = NeighborhoodPowerCache(g, modulus)
+        nbhd.ensure(ladder.vertex_powers())
+        for stage in stages:
+            got = nbhd.signature(stage.powers, stage.mode)
+            fresh = graph_signature(g, stage.powers, stage.mode, modulus=modulus)
+            assert got._key == fresh._key and hash(got) == hash(fresh)
+            assert got.rows == fresh.rows
+
+
+@pytest.mark.parametrize("mode", [TRACE, SD])
+def test_leading_signature_fits_int64_below_a_wider_power(mode):
+    # residues at power 30 pass int64, so the held table holds Python ints;
+    # the power-3 columns fit and must key as the int64 bytes a fresh power-3
+    # signature has, or graphs agreeing at power 3 could split there
+    g = chang_graphs()[0]
+    nbhd = NeighborhoodPowerCache(g, DEFAULT_MODULUS)
+    nbhd.ensure((3, 30))
+    assert max(map(max, nbhd.signature_values((3, 30), mode))) > 2**63
+    assert nbhd._table((3, 30), mode).dtype == object
+    got = nbhd.signature((3,), mode)
+    fresh = graph_signature(g, (3,), mode, modulus=DEFAULT_MODULUS)
+    assert type(got._key[-1][1]) is bytes
+    assert got._key == fresh._key and got.rows == fresh.rows
