@@ -1,23 +1,24 @@
 """Exact integer matrix powers and their diagonals, checked or mod-reduced.
 
 Every invariant in this package is a diagonal, or a trace, of a power of
-a small integer matrix. Diagonals never form the full power: with
-``h = p // 2``,
+a small symmetric integer matrix, ``A|N_a`` or a bar block ``B± = S ± W``.
+The engine takes only such matrices, so each power stands for its own
+transpose. Diagonals never form the full power: with ``h = p // 2``,
 
     diag(M^p)[i] = sum_j (M^h)[i, j] * (M^(p-h))[j, i],
 
-which holds for any square matrix, so only the half powers are formed
-and the diagonal is their row dot product. An odd ``p = 2h + 1`` on a
-symmetric base, with M^h formed and M^(h+1) not, reads its diagonal as
-the row dot of M^(2h) and M instead: M^(2h) is the square of M^h, as
-syrk half the flops of the product M^h @ M. That happens only while the
-square's bound ``k * max|M^h|**2`` is <= 2**53: it then runs in float32
-or float64, its values are exact, and no entry of it can overflow. Requested in
-order, powers 2..5 of a symmetric base form M^2 and M^4 (M^2 and M^3 on
-a general one), and powers 3..9 form M^2, M^3, M^4 and M^8 (M^2..M^5).
-Requested together (:meth:`PowerCache.diag_arrays`), the half powers are
-all formed first, and the diagonal of a formed power is read off it: no
-row dot for diag(M^2) and diag(M^4) of powers 2..5, or M^3, M^4 and M^8.
+so only the half powers are formed and the diagonal is their row dot
+product. An odd ``p = 2h + 1``, with M^h formed and M^(h+1) not, reads
+its diagonal as the row dot of M^(2h) and M instead: M^(2h) is the
+square of M^h, as syrk half the flops of the product M^h @ M. That
+happens only while the square's bound ``k * max|M^h|**2`` is <= 2**53:
+it then runs in float32 or float64, its values are exact, and no entry
+of it can overflow. Requested in order, powers 2..5 form M^2 and M^4,
+and powers 3..9 form M^2, M^3, M^4 and M^8. :meth:`PowerCache.diag_arrays`
+is the one read: it forms every half power first, then reads the
+diagonal of a formed power off it, so there is no row dot for diag(M^2)
+and diag(M^4) of powers 2..5, or M^3, M^4 and M^8. Traces, vertex and
+edge alike, are summed from those diagonals by :func:`traces`.
 
 One rule places every value, bounded by magnitude: a product or row dot
 product with bound ``inner * max|a| * max|b|`` <= 2**53 runs in float64
@@ -32,13 +33,11 @@ converted copies. :class:`PowerCache` scans each power's magnitude once,
 when the power is formed, and hands it to every product and row dot that
 reads the power.
 
-The product kernel follows the matrix order. Every bar block and
-neighbourhood stack is symmetric, and so are its powers. Below
-``_SYRK_ORDER`` a product runs as gemm on contiguous operands, the
-fastest kernel for the call-bound small stacks; from it on a square runs
-as ``a @ a.T`` (BLAS syrk, half the flops). At any order a row dot on a
-symmetric base reads its second operand untransposed, in place. Past
-int64 the modulus decides:
+The product kernel follows the matrix order. Below ``_SYRK_ORDER`` a
+product runs as gemm on contiguous operands, the fastest kernel for the
+call-bound small stacks; from it on a square runs as ``a @ a.T`` (BLAS
+syrk, half the flops). At any order a row dot reads its second operand
+untransposed, in place. Past int64 the modulus decides:
 
 * exact mode (``modulus=None``): values become Python ints, and a
   half-power entry or diagonal value past the unsigned 64-bit range in
@@ -57,8 +56,8 @@ Every diagonal, trace and half sum returned here is int64 exactly when each
 of its values fits, else an object array of Python ints, whatever tier
 formed it, and so is each power of a stack :func:`per_power` splits. Only
 this module decides that, and it builds the keys the ladder compares from
-the values, not the dtype: :func:`sorted_rows` (:func:`row_order`, then
-:func:`keyed_rows`) and :func:`sorted_values`.
+the values, not the dtype: :func:`row_order` with :func:`keyed_rows`, and
+:func:`sorted_values`.
 """
 
 from __future__ import annotations
@@ -241,30 +240,29 @@ def checked_rowdot(
 
 
 class PowerCache:
-    """Cached powers of a (m, k, k) stack of square integer matrices, and
-    their diagonals and traces.
+    """Cached powers of a (m, k, k) stack of symmetric integer matrices, and
+    their diagonals.
 
-    ``power(p)`` squares repeatedly, with one extra multiply for odd
-    exponents; it returns exact values, or in modular mode past int64
-    values reduced mod ``p1 * p2``. ``diag_arrays(powers)`` forms only the
-    half powers, and for an odd p = 2h + 1 on a symmetric base M^(2h) in
-    place of a missing M^(h+1) while that square's bound is <= 2**53 (see
-    the module docstring), all before any diagonal; a formed power's
-    diagonal is read off it (a reduced one without the u64 check, as for
-    the base). Each power is stored in the dtype it was formed in:
-    float32 for a product of order ``_SYRK_ORDER`` or more with bound
-    <= 2**24, else float64 up to 2**53, then int64 and object. The (m, k)
-    diagonals and (m,) traces are exact values, or in modular mode the
-    residues mod ``p1 * p2``, the exact value below it; either way int64
-    exactly when every value fits, else object, stacked per power by
-    ``diag_arrays`` and ``trace_arrays``. A modular trace is the residue of
-    the sum of its true diagonal.
+    Each power stands for its own transpose, unchecked. ``power(p)``
+    squares repeatedly, with one extra multiply for odd exponents; it
+    returns exact values, or in modular mode past int64 values reduced
+    mod ``p1 * p2``. ``diag_arrays(powers)`` forms only the half powers,
+    and for an odd p = 2h + 1 M^(2h) in place of a missing M^(h+1) while
+    that square's bound is <= 2**53 (see the module docstring), all before
+    any diagonal; a formed power's diagonal is read off it (a reduced one
+    without the u64 check, as for the base). Each power is stored in the
+    dtype it was formed in: float32 for a product of order
+    ``_SYRK_ORDER`` or more with bound <= 2**24, else float64 up to 2**53,
+    then int64 and object. The (len(powers), m, k) diagonals are exact
+    values, or in modular mode the residues mod ``p1 * p2``, the exact
+    value below it; either way int64 exactly when every value fits, else
+    object. :func:`traces` sums them.
 
     ``buffers`` are arrays of the base's shape that the base and powers of
     their dtype (:func:`lift_dtype` gives the base's) are written into, as
-    far as they last. ``power`` may return one of them; no diagonal or
-    trace is one, so a caller that keeps only those may reuse the buffers
-    once the cache is dropped.
+    far as they last. ``power`` may return one of them; no diagonal is
+    one, so a caller that keeps only those may reuse the buffers once the
+    cache is dropped.
     """
 
     def __init__(
@@ -284,12 +282,9 @@ class PowerCache:
             modulus = (int(p1), int(p2))
         self.modulus = modulus
         self._spare = list(buffers)
-        # every power of a symmetric base is symmetric, so b may stand for b.T
-        self._symmetric = np.array_equal(base, np.swapaxes(base, -1, -2))
         self._pows: dict[int, np.ndarray] = {}
         self._max: dict[int, int] = {}  # largest magnitude, scanned once per power
         self._lift(base)
-        self._diags: dict = {}
 
     def _reduced(self, m: np.ndarray) -> np.ndarray:
         p1, p2 = self.modulus
@@ -310,21 +305,15 @@ class PowerCache:
     def _combine(self, checked, raw, i: int, j: int, view: bool, **kwargs) -> np.ndarray:
         """``checked`` on powers ``i`` and ``j`` with their magnitudes; in
         modular mode past int64, ``raw`` on Python ints, reduced mod
-        ``p1 * p2``. With ``view``, on a symmetric base ``j`` is passed
-        transposed, the same matrix: a square then runs as BLAS syrk, and a
-        row dot reads ``j`` in place."""
+        ``p1 * p2``. With ``view``, ``j`` is passed transposed, the same
+        matrix: a square then runs as BLAS syrk, and a row dot reads ``j``
+        in place."""
         a, b, amax, bmax = self._pows[i], self._pows[j], self._max[i], self._max[j]
-        if view and self._symmetric:
+        if view:
             b = np.swapaxes(b, -1, -2)
         if self.modulus is not None and _tier(a.shape[-1] * amax * bmax) is object:
             return self._reduced(raw(_as(a, object), _as(b, object)))
         return checked(a, b, amax=amax, bmax=bmax, **kwargs)
-
-    def _squares_exactly(self, h: int) -> bool:
-        """Whether the square of power ``h`` is symmetric and runs on a
-        float tier, so it is exact and cannot overflow."""
-        bound = self._pows[h].shape[-1] * self._max[h] ** 2
-        return self._symmetric and bound <= _FLOAT_SAFE
 
     def power(self, p: int) -> np.ndarray:
         if p < 1:
@@ -343,61 +332,53 @@ class PowerCache:
 
     def _halves(self, p: int) -> tuple[int, int]:
         """Two formed powers whose row dot is diag(M^p), p >= 2: (h, p - h)
-        with h = p // 2, or (2h, 1) as the module docstring says."""
+        with h = p // 2, or (2h, 1) while the square of M^h is exact (see
+        the module docstring)."""
         h = p // 2
         self.power(h)
         i, j = h, p - h
-        if j not in self._pows and self._squares_exactly(h):
+        if j not in self._pows and self._pows[h].shape[-1] * self._max[h] ** 2 <= _FLOAT_SAFE:
             i, j = 2 * h, 1  # odd p: M^(2h) as a square, not M^(h+1)
         self.power(i), self.power(j)
         return i, j
 
-    def _diag(self, p: int) -> np.ndarray:
-        got = self._diags.get(p)
-        if got is None:
+    def diag_arrays(self, powers) -> np.ndarray:
+        """The (len(powers), m, k) diagonals of ``powers`` in one array,
+        every half power formed first, so that a diagonal whose power got
+        formed is read off it."""
+        for p in powers:
+            if p not in self._pows:
+                self._halves(p)
+        diags = []
+        for p in powers:
             formed = self._pows.get(p)
             if formed is None:
-                got = self._combine(checked_rowdot, _rowdot, *self._halves(p), True)
+                d = self._combine(checked_rowdot, _rowdot, *self._halves(p), True)
             else:
-                got = np.diagonal(formed, axis1=-2, axis2=-1)
-                if self.modulus is None or got.dtype != object:  # reduced ones may pass u64
-                    got = _diagonal_values(got)
-            self._diags[p] = got
-        return got
+                d = np.diagonal(formed, axis1=-2, axis2=-1)
+                if self.modulus is None or d.dtype != object:  # reduced ones may pass u64
+                    d = _diagonal_values(d)
+            diags.append(d)
+        stack = diags[0][None] if len(diags) == 1 else np.stack(diags)
+        return _fit_int64(_residues(stack, self.modulus))
 
-    def _residues(self, x: np.ndarray) -> np.ndarray:
-        """Exact values as they are; modular ones in ``[0, p1 * p2)``."""
-        if self.modulus is None:
-            return x
-        n = self.modulus[0] * self.modulus[1]
-        if x.dtype == object or n <= _FORMAT_LIMITS[1]:
-            return x % n
-        return x if x.size == 0 or x.min() >= 0 else _as(x, object) % n
 
-    def _diag_stack(self, powers) -> np.ndarray:
-        """The raw (len(powers), m, k) diagonals, every half power formed
-        first, so that a diagonal whose power got formed is read off it."""
-        for p in powers:
-            if p < 1:
-                raise ValueError(f"power must be >= 1, got {p}")
-            if p not in self._pows and p not in self._diags:
-                self._halves(p)
-        diags = [self._diag(p) for p in powers]
-        return diags[0][None] if len(diags) == 1 else np.stack(diags)
+def _residues(x: np.ndarray, modulus: tuple[int, int] | None) -> np.ndarray:
+    """Exact values as they are; modular ones in ``[0, p1 * p2)``."""
+    if modulus is None:
+        return x
+    n = modulus[0] * modulus[1]
+    if x.dtype == object or n <= _FORMAT_LIMITS[1]:
+        return x % n
+    return x if x.size == 0 or x.min() >= 0 else _as(x, object) % n
 
-    def diag_arrays(self, powers) -> np.ndarray:
-        """The (len(powers), m, k) diagonals of ``powers`` in one array."""
-        return _fit_int64(self._residues(self._diag_stack(powers)))
 
-    def trace_arrays(self, powers) -> np.ndarray:
-        """The (len(powers), m) traces of ``powers``, summed in one call."""
-        return _fit_int64(self._residues(_row_sums(self._diag_stack(powers))))
-
-    def diag_array(self, p: int) -> np.ndarray:
-        return self.diag_arrays((p,))[0]
-
-    def trace_array(self, p: int) -> np.ndarray:
-        return self.trace_arrays((p,))[0]
+def traces(diags: np.ndarray, modulus: tuple[int, int] | None = None) -> np.ndarray:
+    """The traces of (..., k) diagonals as :meth:`PowerCache.diag_arrays`
+    reports them under ``modulus``: their exact sums, or in modular mode
+    the residues of the sums, which are those of the traces; int64 when
+    every value fits, else object."""
+    return _fit_int64(_residues(_row_sums(diags), modulus))
 
 
 def half_sum(plus, minus, modulus: tuple[int, int] | None = None):
@@ -407,19 +388,19 @@ def half_sum(plus, minus, modulus: tuple[int, int] | None = None):
 
     Every entrywise sum must be even. Exact sums halve exactly; in modular
     mode a sum of residues is multiplied by the inverse of 2 mod
-    ``p1 * p2``, which needs odd primes, and a trace is its residue. The
-    halves are int64 when every one fits, else an object array; the traces
+    ``p1 * p2``, which needs odd primes. The halves are int64 when every
+    one fits, else an object array; the traces, summed by :func:`traces`,
     are Python ints, nested as the leading axes (one int for (k,) inputs).
     """
     total = _row_sums(np.stack((plus, minus), axis=-1))
-    traces = _row_sums(total[None])  # (1, ...): an array even for (k,) inputs
+    sums = traces(total[None], modulus).tolist()[0]  # (1, ...): an array even for (k,) inputs
     if modulus is None:
-        return _fit_int64(total // 2), traces.tolist()[0]
+        return _fit_int64(total // 2), sums
     n = modulus[0] * modulus[1]
     if n % 2 == 0:
         raise ValueError(f"halving mod {n} needs odd primes")
     halves = _as(total, object) * pow(2, -1, n) % n
-    return _fit_int64(halves), (_as(traces, object) % n).tolist()[0]
+    return _fit_int64(halves), sums
 
 
 def row_order(table: np.ndarray) -> np.ndarray:
@@ -448,12 +429,6 @@ def keyed_rows(rows: np.ndarray) -> tuple[np.ndarray, object]:
     if len(rows) > 1:
         rows = rows.astype(">i8", copy=False)
     return rows, (rows.shape, rows.tobytes())
-
-
-def sorted_rows(table: np.ndarray) -> tuple[np.ndarray, object]:
-    """A non-negative 2-d table with its rows in lexicographic order
-    (:func:`row_order`), and their key (:func:`keyed_rows`)."""
-    return keyed_rows(table[row_order(table)])
 
 
 def per_power(stack: np.ndarray) -> list[np.ndarray]:

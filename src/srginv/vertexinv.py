@@ -10,16 +10,18 @@ All vertices are computed together. :class:`NeighborhoodPowerCache`
 gathers every neighborhood into one (v, kmax, kmax) stack, zero-padded to
 the largest degree kmax; a padded slot is an isolated vertex, so it adds
 zeros to the diagonals and nothing to traces or magnitudes. The diagonals
-of the powers computed together are sorted along each row in one call:
-every value is non-negative, so its padding zeros come first. They join
-one table per mode and graph. A :class:`GraphSignature` is its columns of
-some powers as one row-sorted table, compared by the key
-:func:`matpow.keyed_rows` builds: its bytes when every value fits int64,
-else its rows of Python ints. Rows sorted by every column are sorted by
-any leading ones, so a cache finds the row order of its whole table once
-per mode, and a signature of leading powers takes their columns in it.
-Tuples of Python ints are built only when read: :attr:`GraphSignature.rows`
-and :meth:`NeighborhoodPowerCache.signature_values`, the per-vertex values
+of the powers computed together come from one engine read and are sorted
+along each row in one call: every value is non-negative, so its padding
+zeros come first. The traces are summed from those sorted diagonals
+(:func:`matpow.traces`). Both join one table per mode and graph. A
+:class:`GraphSignature` is its columns of some powers as one row-sorted
+table, compared by the key :func:`matpow.keyed_rows` builds: its bytes
+when every value fits int64, else its rows of Python ints. Rows sorted
+by every column are sorted by any leading ones, so a cache finds the row
+order of its whole table once per mode, and a signature of leading
+powers takes their columns in it. Tuples of Python ints are built only
+when read: :attr:`GraphSignature.rows` and
+:meth:`NeighborhoodPowerCache.signature_values`, the per-vertex values
 ``srginv vertex-inv`` prints.
 """
 
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph
-from .matpow import check_powers, keyed_rows, power_cache, row_order, sorted_rows
+from .matpow import check_powers, keyed_rows, power_cache, row_order, traces
 
 
 class InvariantMode(enum.Enum):
@@ -72,10 +74,8 @@ class GraphSignature:
 
     __slots__ = ("_key", "_table", "_layout")
 
-    def __init__(self, table: np.ndarray, mode: InvariantMode, npowers: int, modulus, body=None):
-        # ``body``, when given, is the key of a table whose rows are sorted
-        if body is None:
-            table, body = sorted_rows(table)
+    def __init__(self, table: np.ndarray, mode: InvariantMode, npowers: int, modulus, body):
+        # ``table``'s rows are sorted, and ``body`` is their keyed_rows key
         self._table = table
         self._layout = (mode, npowers)
         self._key = (mode, modulus, body)
@@ -158,9 +158,8 @@ class NeighborhoodPowerCache:
         stack = padded.ravel().take(nb[:, :, None] * (v + 1) + nb[:, None, :])
         cache = power_cache(stack, self.modulus)
         diags = np.sort(cache.diag_arrays(missing), axis=-1)
-        traces = cache.trace_arrays(missing)
         trace, sd = self._tables[InvariantMode.TRACE], self._tables[InvariantMode.SORTED_DIAG]
-        self._tables[InvariantMode.TRACE] = np.hstack([trace, traces.T])
+        self._tables[InvariantMode.TRACE] = np.hstack([trace, traces(diags, self.modulus).T])
         self._tables[InvariantMode.SORTED_DIAG] = np.hstack([sd, *diags])
         self._held += tuple(missing)
         self._orders.clear()
@@ -171,28 +170,27 @@ class NeighborhoodPowerCache:
         self.ensure(powers)
         n = len(powers)
         if powers == self._held[:n]:
-            return self._tables[mode][:, : self._width(n, mode)]
+            width = n if mode is InvariantMode.TRACE else 1 + n * self._kmax
+            return self._tables[mode][:, :width]
         columns = [self._held.index(p) for p in powers]
         if mode is InvariantMode.SORTED_DIAG:
             k = self._kmax
             columns = [0, *(1 + i * k + j for i in columns for j in range(k))]
         return self._tables[mode][:, columns]
 
-    def _width(self, npowers: int, mode: InvariantMode) -> int:
-        return npowers if mode is InvariantMode.TRACE else 1 + npowers * self._kmax
-
     def signature(self, powers: tuple[int, ...], mode: InvariantMode) -> GraphSignature:
-        """The signature at ``powers``; when they lead the held powers, the
-        leading columns of the mode's table in its row order."""
-        self.ensure(powers)
-        n = len(powers)
-        if powers != self._held[:n]:
-            return GraphSignature(self._table(powers, mode), mode, n, self.modulus)
-        order = self._orders.get(mode)
-        if order is None:
-            order = self._orders[mode] = row_order(self._tables[mode])
-        rows, body = keyed_rows(self._tables[mode][order, : self._width(n, mode)])
-        return GraphSignature(rows, mode, n, self.modulus, body)
+        """The signature at ``powers``: their columns of the mode's table,
+        its rows sorted in the mode's cached order of the whole table when
+        ``powers`` lead the held powers, else in their own row order."""
+        table = self._table(powers, mode)
+        if powers == self._held[: len(powers)]:
+            order = self._orders.get(mode)
+            if order is None:
+                order = self._orders[mode] = row_order(self._tables[mode])
+        else:
+            order = row_order(table)
+        rows, body = keyed_rows(table[order])
+        return GraphSignature(rows, mode, len(powers), self.modulus, body)
 
     def single_block(self, powers) -> bool:
         """True when every vertex has the same degree and the same sorted

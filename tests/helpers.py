@@ -34,7 +34,7 @@ from srginv.catalog import (
 from srginv.cli import main
 from srginv.edgeinv import bar_diag_table
 from srginv.graph import Graph
-from srginv.matpow import power_cache
+from srginv.matpow import keyed_rows, power_cache, row_order, traces
 from srginv.vertexinv import InvariantMode
 
 # matpow thresholds to monkeypatch, lowered so that small matrices run
@@ -52,6 +52,12 @@ def residue(x: int, modulus: tuple[int, int] | None) -> int:
     """``x`` as modular mode reports it: its residue mod ``p1 * p2``, the
     exact value below it; ``x`` itself without a modulus."""
     return x if modulus is None else x % (modulus[0] * modulus[1])
+
+
+def sorted_rows(table: np.ndarray):
+    """A table's rows sorted on their own and their key: the fresh sort
+    that the leading columns of a larger table must key as."""
+    return keyed_rows(table[row_order(table)])
 
 
 def row_sort_key(values: tuple[int, ...]):
@@ -136,10 +142,10 @@ def nbhd_power_diag(
         raise ValueError(f"power must be >= 1, got {p}")
     nb = g.neighborhood(a)
     sub = g.dense()[np.ix_(nb, nb)]
-    cache = power_cache(sub[None, :, :], modulus)
+    diags = power_cache(sub[None, :, :], modulus).diag_arrays((p,))
     if mode is InvariantMode.TRACE:
-        return (cache.trace_array(p).tolist()[0],)
-    return tuple(sorted(cache.diag_array(p)[0].tolist()))
+        return (traces(diags, modulus)[0].tolist()[0],)
+    return tuple(sorted(diags[0, 0].tolist()))
 
 
 def count_closed_walks(g: Graph, start: int, length: int, allowed) -> int:
@@ -180,7 +186,7 @@ def trace_power_signature(
     if not 1 <= pmax <= g.v:
         raise ValueError(f"pmax must be in 1..{g.v}, got {pmax}")
     cache = power_cache(g.dense()[None, :, :], modulus)
-    return tuple(cache.trace_array(p).tolist()[0] for p in range(1, pmax + 1))
+    return tuple(traces(cache.diag_arrays(tuple(range(1, pmax + 1))), modulus)[:, 0].tolist())
 
 
 def directed_edges(g: Graph) -> list[tuple[int, int]]:

@@ -212,7 +212,7 @@ def test_criterion_3_closed_walk_oracle():
             sub = dense[np.ix_(nb, nb)]
             cache = power_cache(sub[None, :, :])
             for p in range(1, 6):
-                diag = cache.diag_array(p)[0].tolist()
+                diag = cache.diag_arrays((p,))[0, 0].tolist()
                 for pos, a in enumerate(nb):
                     assert diag[pos] == count_closed_walks(g, a, p, nb), (g, b, a, p)
                     checked += 1

@@ -22,11 +22,11 @@ from srginv.matpow import (
     per_power,
     power_cache,
     row_order,
-    sorted_rows,
+    traces,
 )
 from srginv.vertexinv import InvariantMode, NeighborhoodPowerCache
 
-from helpers import TIERS, residue
+from helpers import TIERS, residue, sorted_rows
 
 
 def random_01_stack(m, k, seed):
@@ -49,7 +49,7 @@ def exact_power(mat, p):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 13])
 def test_powers_match_object_arithmetic(seed, p):
-    stack = random_01_stack(3, 5, seed)
+    stack = random_symmetric_stack(3, 5, seed)
     cache = PowerCache(stack)
     got = cache.power(p)
     for i in range(3):
@@ -58,15 +58,15 @@ def test_powers_match_object_arithmetic(seed, p):
 
 
 def test_diagonals_and_traces_consistent():
-    stack = random_01_stack(4, 6, 99)
+    stack = random_symmetric_stack(4, 6, 99)
     cache = PowerCache(stack)
     for p in (2, 3, 4, 7):
-        diags = cache.diag_array(p).tolist()
-        traces = cache.trace_array(p).tolist()
+        got = cache.diag_arrays((p,))
+        diags, sums = got[0].tolist(), traces(got)[0].tolist()
         for i in range(4):
             want = exact_power(stack[i], p)
             assert diags[i] == [int(want[j, j]) for j in range(6)]
-            assert traces[i] == sum(diags[i])
+            assert sums[i] == sum(diags[i])
 
 
 def test_int64_range_stays_exact():
@@ -103,24 +103,25 @@ def test_exact_base_is_never_rounded_or_wrapped():
     # 2**53 + 1 is the first integer float64 cannot hold
     cache = PowerCache(np.array([[[2**53 + 1]]], dtype=object))
     assert cache.power(1).tolist() == [[[2**53 + 1]]]
-    assert cache.diag_array(1).tolist() == [[2**53 + 1]]
-    assert cache.trace_array(1).tolist() == [2**53 + 1]
+    assert cache.diag_arrays((1,))[0].tolist() == [[2**53 + 1]]
+    assert traces(cache.diag_arrays((1,)))[0].tolist() == [2**53 + 1]
     with pytest.raises(MatrixOverflowError):
-        PowerCache(np.array([[[2**70]]], dtype=object)).diag_array(1)
+        PowerCache(np.array([[[2**70]]], dtype=object)).diag_arrays((1,))
 
 
 def test_outputs_are_int64_exactly_when_the_values_fit():
     # diag(M^2) runs on the Python-int tier (bound 2 * 2^62 > 2^63 - 1), yet
     # every value, and the trace, fits int64
     cache = PowerCache(np.array([[[2**31, 0], [0, 1]]]))
-    diag, trace = cache.diag_array(2), cache.trace_array(2)
+    diags = cache.diag_arrays((2,))
+    diag, trace = diags[0], traces(diags)[0]
     assert diag.dtype == np.int64 and diag.tolist() == [[2**62, 1]]
     assert trace.dtype == np.int64 and trace.tolist() == [2**62 + 1]
     # past int64 they stay Python ints
-    cache = PowerCache(np.array([[[2**31, 0], [0, 2**31]]]))
-    assert cache.diag_array(2).dtype == np.int64
-    assert cache.trace_array(2).dtype == object
-    assert cache.trace_array(2).tolist() == [2**63]
+    diags = PowerCache(np.array([[[2**31, 0], [0, 2**31]]])).diag_arrays((2,))
+    assert diags[0].dtype == np.int64
+    assert traces(diags)[0].dtype == object
+    assert traces(diags)[0].tolist() == [2**63]
 
 
 def test_only_matpow_decides_how_values_are_held():
@@ -150,10 +151,11 @@ def test_only_matpow_decides_how_values_are_held():
 def test_signed_bases_are_bounded_by_magnitude():
     # bounds from max(a) alone put these products on tiers that cannot hold them
     cache = PowerCache(np.array([[[-(2**31), 1], [1, -(2**31)]]]))
-    assert cache.diag_array(2).tolist() == [[2**62 + 1] * 2]
-    assert cache.trace_array(2).tolist() == [2**63 + 2]
+    diags = cache.diag_arrays((2,))
+    assert diags[0].tolist() == [[2**62 + 1] * 2]
+    assert traces(diags)[0].tolist() == [2**63 + 2]
     with pytest.raises(MatrixOverflowError):
-        PowerCache(np.array([[[-(2**40) - 1, 1], [1, 1]]])).diag_array(2)
+        PowerCache(np.array([[[-(2**40) - 1, 1], [1, 1]]])).diag_arrays((2,))
 
 
 def test_overflow_raises_via_accumulated_growth():
@@ -169,23 +171,23 @@ def test_checked_matmul_rejects_nothing_small():
 
 
 def test_modular_matches_exact_residues():
-    stack = random_01_stack(2, 5, 7)
+    stack = random_symmetric_stack(2, 5, 7)
     mod = ModularPowerCache(stack, DEFAULT_MODULUS)
     for p in (2, 3, 6):
-        got = mod.diag_array(p).tolist()
-        traces = mod.trace_array(p).tolist()
+        diags = mod.diag_arrays((p,))
+        got, sums = diags[0].tolist(), traces(diags, DEFAULT_MODULUS)[0].tolist()
         for i in range(2):
             want = exact_power(stack[i], p)
             want_diag = [int(want[j, j]) for j in range(5)]
             assert got[i] == [residue(x, DEFAULT_MODULUS) for x in want_diag]
-            assert traces[i] == residue(sum(want_diag), DEFAULT_MODULUS)
+            assert sums[i] == residue(sum(want_diag), DEFAULT_MODULUS)
 
 
 def test_modular_handles_values_past_u64():
     big = np.array([[[2**32]]], dtype=object)
     mod = ModularPowerCache(big, DEFAULT_MODULUS)
     x = (2**32) ** 4
-    assert mod.diag_array(4).tolist() == [[residue(x, DEFAULT_MODULUS)]]
+    assert mod.diag_arrays((4,))[0].tolist() == [[residue(x, DEFAULT_MODULUS)]]
 
 
 def test_power_cache_factory():
@@ -225,7 +227,7 @@ def test_invalid_powers_rejected():
     with pytest.raises(ValueError):
         cache.power(0)
     with pytest.raises(ValueError, match="power must be >= 1"):
-        cache.diag_array(0)
+        cache.diag_arrays((0,))
     with pytest.raises(ValueError):
         PowerCache(np.ones((2, 2), dtype=np.uint8))
 
@@ -239,17 +241,17 @@ def test_u64_max_constant():
 def test_diagonal_kernel_matches_full_power(tier, seed, monkeypatch):
     for name, value in TIERS[tier].items():
         monkeypatch.setattr(matpow, name, value)
-    signed = random_01_stack(3, 6, 110 + seed).astype(np.int64) * -3 + 1  # entries 1, -2
-    for stack in (random_01_stack(3, 6, 100 + seed), signed):
-        assert any(not np.array_equal(m, m.T) for m in stack)
+    signed = random_symmetric_stack(3, 6, 110 + seed).astype(np.int64) * -3 + 1  # entries 1, -2
+    for stack in (random_symmetric_stack(3, 6, 100 + seed), signed):
         halves, full = PowerCache(stack), PowerCache(stack)
         for p in range(1, 14):
             want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
-            got = halves.diag_array(p)
+            diags = halves.diag_arrays((p,))
+            got = diags[0]
             assert got.dtype == np.int64  # every value fits, whatever the tier
             assert got.tolist() == want
             assert np.diagonal(full.power(p), axis1=1, axis2=2).tolist() == want
-            assert halves.trace_array(p).tolist() == [sum(row) for row in want]
+            assert traces(diags)[0].tolist() == [sum(row) for row in want]
 
 
 @pytest.mark.parametrize("modulus", [None, (5, 7), DEFAULT_MODULUS], ids=["exact", "5,7", "61bit"])
@@ -267,25 +269,23 @@ def test_symmetric_kernel_matches_object_powers(tier, modulus, monkeypatch):
         cache = PowerCache(stack, modulus)
         for p in range(1, 14):
             want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
-            got = cache.diag_array(p).tolist()
-            assert got == [[residue(x, modulus) for x in row] for row in want]
-            assert cache.trace_array(p).tolist() == [residue(sum(row), modulus) for row in want]
+            diags = cache.diag_arrays((p,))
+            assert diags[0].tolist() == [[residue(x, modulus) for x in row] for row in want]
+            assert traces(diags, modulus)[0].tolist() == [
+                residue(sum(row), modulus) for row in want
+            ]
         if tier in ("float32", "float64") and i < 2:
             assert {8, 10, 12} <= cache._pows.keys()
 
 
 @pytest.mark.parametrize(
-    "powers, symmetric, general",
-    [(range(2, 6), [1, 2, 4], [1, 2, 3]), (range(3, 10), [1, 2, 3, 4, 8], [1, 2, 3, 4, 5])],
+    "powers, formed", [(range(2, 6), [1, 2, 4]), (range(3, 10), [1, 2, 3, 4, 8])]
 )
-def test_odd_powers_square_a_half_power(powers, symmetric, general):
-    # a square runs as syrk only on a symmetric base; others keep (h, h + 1)
-    for stack, formed in ((random_symmetric_stack(3, 6, 601), symmetric),
-                          (random_01_stack(3, 6, 601), general)):
-        cache = PowerCache(stack)
-        for p in powers:
-            cache.diag_array(p)
-        assert sorted(cache._pows) == formed
+def test_odd_powers_square_a_half_power(powers, formed):
+    cache = PowerCache(random_symmetric_stack(3, 6, 601))
+    for p in powers:
+        cache.diag_arrays((p,))
+    assert sorted(cache._pows) == formed
 
 
 def test_odd_power_keeps_the_split_past_the_square_bound():
@@ -294,21 +294,22 @@ def test_odd_power_keeps_the_split_past_the_square_bound():
     ones = np.ones((1, 8, 8), dtype=np.uint8)
     assert 8 * (8**9) ** 2 > 2**53 >= 8 * 8**9
     cache = PowerCache(ones)
-    assert cache.diag_array(21).tolist() == [[8**20] * 8]
+    assert cache.diag_arrays((21,))[0].tolist() == [[8**20] * 8]
     assert sorted(cache._pows) == [1, 2, 4, 5, 10, 11]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_modular_diagonal_kernel_matches_residues(seed):
     # the multiplier pushes entries past both primes, so reduction matters
-    stack = random_01_stack(3, 6, 200 + seed).astype(object) * (2**40 + 7)
+    stack = random_symmetric_stack(3, 6, 200 + seed).astype(object) * (2**40 + 7)
     mod = ModularPowerCache(stack, DEFAULT_MODULUS)
     for p in range(1, 14):
         want = [[int(x) for x in np.diagonal(exact_power(m, p))] for m in stack]
-        assert mod.diag_array(p).tolist() == [
-            [residue(x, DEFAULT_MODULUS) for x in row] for row in want
+        diags = mod.diag_arrays((p,))
+        assert diags[0].tolist() == [[residue(x, DEFAULT_MODULUS) for x in row] for row in want]
+        assert traces(diags, DEFAULT_MODULUS)[0].tolist() == [
+            residue(sum(row), DEFAULT_MODULUS) for row in want
         ]
-        assert mod.trace_array(p).tolist() == [residue(sum(row), DEFAULT_MODULUS) for row in want]
 
 
 def test_rowdot_tiers_at_their_bounds():
@@ -325,16 +326,17 @@ def test_rowdot_tiers_at_their_bounds():
 
 def test_diagonal_overflow_raises_on_u64_boundary():
     cache = PowerCache(np.array([[[2**32 - 1]]], dtype=object))
-    assert cache.diag_array(2).tolist() == [[(2**32 - 1) ** 2]]
+    assert cache.diag_arrays((2,))[0].tolist() == [[(2**32 - 1) ** 2]]
     with pytest.raises(MatrixOverflowError):
-        cache.diag_array(4)
+        cache.diag_arrays((4,))
 
 
 def test_traces_past_int64_stay_exact():
     # each diagonal entry is 2^62 (int64 path); their sum 2^63 is not
     cache = PowerCache(np.ones((1, 2, 2), dtype=np.uint8))
-    assert cache.diag_array(63).tolist() == [[2**62, 2**62]]
-    assert cache.trace_array(63).tolist() == [2**63]
+    diags = cache.diag_arrays((63,))
+    assert diags[0].tolist() == [[2**62, 2**62]]
+    assert traces(diags)[0].tolist() == [2**63]
 
 
 @pytest.mark.parametrize("modulus", [None, DEFAULT_MODULUS], ids=["exact", "modular"])
@@ -354,11 +356,13 @@ def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
     for name, value in TIERS[tier].items():
         monkeypatch.setattr(matpow, name, value)
     # (M + N)^p + (M - N)^p sums the words with an even number of N's, twice
-    m, n = random_01_stack(2, 6, 500).astype(np.int64)
+    m, n = random_symmetric_stack(2, 6, 500).astype(np.int64)
     plus, minus = PowerCache((m + n)[None], modulus), PowerCache((m - n)[None], modulus)
     for p in range(1, 12):
         total = np.diagonal(exact_power(m + n, p) + exact_power(m - n, p))
-        half, trace = half_sum(plus.diag_array(p)[0], minus.diag_array(p)[0], modulus)
+        half, trace = half_sum(
+            plus.diag_arrays((p,))[0, 0], minus.diag_arrays((p,))[0, 0], modulus
+        )
         assert half.dtype == np.int64  # every half fits, whatever the tier
         if modulus is None:
             assert half.tolist() == [int(x) // 2 for x in total]
@@ -370,31 +374,31 @@ def test_half_sum_halves_the_stack_sum(tier, modulus, monkeypatch):
 
 def test_half_sum_halves_a_stack_of_powers():
     # one call halves every power: traces nest as the leading axis
-    m, n = random_01_stack(2, 6, 501).astype(np.int64)
+    m, n = random_symmetric_stack(2, 6, 501).astype(np.int64)
     plus, minus = PowerCache((m + n)[None]), PowerCache((m - n)[None])
     powers = (2, 3, 4, 5)
     halves, traces = half_sum(plus.diag_arrays(powers)[:, 0], minus.diag_arrays(powers)[:, 0])
     for p, half, trace in zip(powers, halves, traces):
-        want = half_sum(plus.diag_array(p)[0], minus.diag_array(p)[0])
+        want = half_sum(plus.diag_arrays((p,))[0, 0], minus.diag_arrays((p,))[0, 0])
         assert half.tolist() == want[0].tolist() and trace == want[1]
 
 
 def test_half_sum_past_int64_stays_exact():
     # each diagonal entry is 2^62 (int64 path); their sum 2^63 is not
-    plus, minus = PowerCache(np.ones((2, 2, 2), dtype=np.uint8)).diag_array(63)
+    plus, minus = PowerCache(np.ones((2, 2, 2), dtype=np.uint8)).diag_arrays((63,))[0]
     half, trace = half_sum(plus, minus)
     assert half.tolist() == [2**62, 2**62]
     assert trace == 2**64
 
 
 def test_half_sum_needs_two_matrices_and_odd_primes():
-    plus, minus = PowerCache(random_01_stack(2, 4, 1), (2, 3)).diag_array(2)
+    plus, minus = PowerCache(random_symmetric_stack(2, 4, 1), (2, 3)).diag_arrays((2,))[0]
     with pytest.raises(ValueError):
         half_sum(plus, minus, (2, 3))
 
 
 def test_modulus_parts_must_be_coprime():
-    stack = random_01_stack(1, 3, 0)
+    stack = random_symmetric_stack(1, 3, 0)
     # (4, 6) are not coprime: 0 and 12 agree mod 4 and mod 6, yet differ mod 24
     for modulus in [(4, 4), (1, 5), (4, 6)]:
         with pytest.raises(ValueError, match="two distinct primes"):
@@ -461,7 +465,7 @@ def test_diagonals_are_read_off_formed_powers(monkeypatch):
         assert got.tolist() == [want[p] for p in powers]
         rowdots.clear()
         one = PowerCache(stack)  # one power at a time reads off only M^1
-        assert [one.diag_array(p).tolist() for p in powers] == [want[p] for p in powers]
+        assert [one.diag_arrays((p,))[0].tolist() for p in powers] == [want[p] for p in powers]
         assert len(rowdots) == len(powers)
 
 
@@ -474,22 +478,23 @@ def test_modular_diagonals_read_off_reduced_powers(modulus):
     cache = PowerCache(stack, modulus)
     want = object_diagonals(stack, 9)
     powers = tuple(range(2, 10))
-    assert cache.diag_arrays(powers).tolist() == [
+    diags = cache.diag_arrays(powers)
+    assert diags.tolist() == [
         [[residue(x, modulus) for x in row] for row in want[p]] for p in powers
     ]
-    assert cache.trace_arrays(powers).tolist() == [
+    assert traces(diags, modulus).tolist() == [
         [residue(sum(row), modulus) for row in want[p]] for p in powers
     ]
     if modulus == DEFAULT_MODULUS:
         assert sorted(cache._pows) == [1, 2, 3, 4, 5]  # diag 2..5 read off them
-        assert max(cache._diags[4].ravel()) > U64_MAX
+        assert max(diags[powers.index(4)].ravel()) > U64_MAX
 
 
 SWITCH_BASES = {
     "ones": np.ones((2, 16, 16), dtype=np.uint8),
-    "random01": random_01_stack(3, 9, 300),
-    "object2**70": random_01_stack(2, 4, 301).astype(object) * 2**70,
-    "negative": random_01_stack(2, 4, 302).astype(np.int64) * -3 + 1,
+    "random01": random_symmetric_stack(3, 9, 300),
+    "object2**70": random_symmetric_stack(2, 4, 301).astype(object) * 2**70,
+    "negative": random_symmetric_stack(2, 4, 302).astype(np.int64) * -3 + 1,
 }
 
 
@@ -506,8 +511,9 @@ def test_modular_engine_across_the_residue_switch(name, modulus):
     want = [np.asarray(m).astype(object) for m in stack]
     for p in range(1, 61):
         diags = [[int(x) for x in np.diagonal(w)] for w in want]
-        assert mod.diag_array(p).tolist() == [[residue(x, modulus) for x in d] for d in diags]
-        assert mod.trace_array(p).tolist() == [residue(sum(d), modulus) for d in diags]
+        got = mod.diag_arrays((p,))
+        assert got[0].tolist() == [[residue(x, modulus) for x in d] for d in diags]
+        assert traces(got, modulus)[0].tolist() == [residue(sum(d), modulus) for d in diags]
         # a power is its exact values, or past int64 Python ints reduced mod
         # p1 * p2; reduced (5, 7) values run exactly on float64 again, so
         # the dtype alone does not say which
@@ -580,8 +586,9 @@ def test_kernel_by_order_matches_object_powers(order, monkeypatch):
     want = object_diagonals(stack, 9)
     cache = PowerCache(stack)
     for p in range(1, 10):
-        assert cache.diag_array(p).tolist() == want[p]
-        assert cache.trace_array(p).tolist() == [sum(row) for row in want[p]]
+        diags = cache.diag_arrays((p,))
+        assert diags[0].tolist() == want[p]
+        assert traces(diags)[0].tolist() == [sum(row) for row in want[p]]
     assert sorted(cache._pows) == [1, 2, 3, 4, 8]
     syrk = order >= SYRK_ORDER
     # formed in the order M^2, M^4, M^3 = M^2 M, M^8; on a symmetric base
@@ -618,8 +625,9 @@ def test_large_order_tiers_match_object_powers(tier, modulus, monkeypatch):
         assert want[2][0][0] == SYRK_ORDER * edge**2
         cache = PowerCache(stack, modulus)
         for p in range(1, top + 1):
-            assert cache.diag_array(p).tolist() == [[residue(x, modulus) for x in want[p][0]]]
-            assert cache.trace_array(p).tolist() == [residue(sum(want[p][0]), modulus)]
+            diags = cache.diag_arrays((p,))
+            assert diags[0].tolist() == [[residue(x, modulus) for x in want[p][0]]]
+            assert traces(diags, modulus)[0].tolist() == [residue(sum(want[p][0]), modulus)]
         if tier == "float32":
             assert cache._pows[2].dtype == square
         else:

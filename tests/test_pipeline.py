@@ -217,8 +217,8 @@ def test_each_table_is_sorted_once_per_mode(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
-    count(vertexinv, "row_order")  # a sort of a vertex table, directly
-    count(matpow, "row_order")  # or through sorted_rows
+    count(vertexinv, "row_order")  # a sort of a vertex table, in vertexinv
+    count(matpow, "row_order")  # or from inside matpow
     count(matpow, "checked_rowdot")
     report = distinguish_family([g, h])
     assert len(report.stages) == 17 and report.final_classes == 1
