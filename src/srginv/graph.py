@@ -99,15 +99,9 @@ class Graph:
         self.rows = rows
         self._dense = None
 
-    # pickling has to cope with __slots__ and must not drag the cache along
-    def __getstate__(self):
-        return (self.v, self.rows)
-
-    def __setstate__(self, state):
-        v, rows = state
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_dense", None)
+    # a pickle holds the bit rows, not the dense cache
+    def __reduce__(self):
+        return Graph, (self.v, self.rows, True)
 
     def __eq__(self, other) -> bool:
         return (

@@ -346,6 +346,9 @@ class PowerCache:
         """The (len(powers), m, k) diagonals of ``powers`` in one array,
         every half power formed first, so that a diagonal whose power got
         formed is read off it."""
+        powers = tuple(powers)
+        if not powers:
+            raise ValueError("power list must be nonempty")
         for p in powers:
             if p not in self._pows:
                 self._halves(p)
@@ -413,21 +416,18 @@ def row_order(table: np.ndarray) -> np.ndarray:
     if table.dtype == object:
         rows = table.tolist()
         return np.array(sorted(range(len(rows)), key=rows.__getitem__), dtype=np.intp)
-    if len(table) <= 1:
-        return np.arange(len(table))
     record = np.dtype((np.void, 8 * table.shape[1]))
     return np.argsort(np.ascontiguousarray(table, dtype=">i8").view(record).ravel())
 
 
 def keyed_rows(rows: np.ndarray) -> tuple[np.ndarray, object]:
     """Rows in sorted order, int64 when every value fits, and a hashable key
-    that follows the values, not the dtype: shape and big-endian bytes
-    (native ones for a single row), or past int64 the rows as tuples."""
+    that follows the values, not the dtype: shape and big-endian bytes,
+    or past int64 the rows as tuples."""
     rows = _fit_int64(rows)
     if rows.dtype == object:
         return rows, tuple(map(tuple, rows.tolist()))
-    if len(rows) > 1:
-        rows = rows.astype(">i8", copy=False)
+    rows = rows.astype(">i8", copy=False)
     return rows, (rows.shape, rows.tobytes())
 
 

@@ -21,15 +21,17 @@ leaves the unsigned 64-bit range is re-run whole under DEFAULT_MODULUS by
 ``distinguish_family`` itself, which marks the report.
 
 A graph's ladder state keeps only what a later stage reads: its vertex
-powers until the ladder's last vertex stage, when the single-block flag is
-taken and they are dropped, and per edge power one table of |E| values.
-With jobs > 1 and more than one family, ``dataset_report`` runs families
-in a process pool, imported only then.
+powers, and per edge power one table of |E| values. Its release step,
+after the last vertex stage or once the graph is alone in its class,
+takes the single-block flag from the powers, frees them, and for a graph
+alone frees the edge tables too. With jobs > 1 and more than one family,
+``dataset_report`` runs families in a process pool, imported only then.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -140,15 +142,15 @@ def default_ladder() -> LadderConfig:
 
 
 class _GraphState:
-    """Per-graph invariant caches reused across ladder stages.
+    """One graph's invariant caches over its whole life in the ladder.
 
-    ``nbhd`` holds the vertex powers' diagonals and traces until the
-    ladder's last vertex stage, when ``_walk_ladder`` takes the
-    single-block flag from ``nbhd.single_block`` and drops it; ``_edge``
-    holds each edge power's table: |E| values and the trace.
+    ``nbhd`` holds the vertex powers' diagonals and traces, ``_edge`` each
+    edge power's table: |E| values and the trace. ``release`` sets
+    ``single_block`` from ``nbhd.single_block`` and drops ``nbhd``; for a
+    graph in its own class it drops ``_edge`` too.
     """
 
-    __slots__ = ("graph", "modulus", "vertex_powers", "nbhd", "_edge")
+    __slots__ = ("graph", "modulus", "vertex_powers", "nbhd", "_edge", "single_block")
 
     def __init__(self, g: Graph, modulus: tuple[int, int] | None, vertex_powers: tuple[int, ...]):
         self.graph = g
@@ -156,6 +158,17 @@ class _GraphState:
         self.vertex_powers = vertex_powers
         self.nbhd = NeighborhoodPowerCache(g, modulus)
         self._edge: dict[int, BarPowerDiag] = {}
+        self.single_block = False
+
+    def release(self, alone: bool) -> None:
+        """Free the vertex powers once the single-block flag is taken from
+        them, and the edge tables of a graph ``alone`` in its class."""
+        if self.nbhd is not None:
+            if self.vertex_powers:
+                self.single_block = self.nbhd.single_block(self.vertex_powers)
+            self.nbhd = None
+        if alone:
+            self._edge = {}
 
     def payload(self, stage: LadderStage):
         """This graph's values under ``stage``, hashable and equal for two
@@ -267,31 +280,15 @@ def _walk_ladder(
 ) -> DistinguishReport:
     n = len(graphs)
     vertex_powers = ladder.vertex_powers()
-    states: list[_GraphState | None] = [_GraphState(g, modulus, vertex_powers) for g in graphs]
-    single_flags = [False] * n
+    states = [_GraphState(g, modulus, vertex_powers) for g in graphs]
     last_vertex = max(
         (k for k, stage in enumerate(ladder.stages) if stage.kind is not StageKind.EDGE),
         default=-1,
     )
-
-    def drop_vertex_caches(i: int) -> None:
-        # no later stage reads the vertex powers: grab the single-block flag
-        # while they are warm, then free them
-        if vertex_powers:
-            single_flags[i] = states[i].nbhd.single_block(vertex_powers)
-        states[i].nbhd = None
-
-    def finalize(i: int) -> None:
-        # a graph in its own class never computes another payload
-        if states[i].nbhd is not None:
-            drop_vertex_caches(i)
-        states[i] = None
-
     # a lone graph is its own class before any stage runs
     groups: list[list[int]] = [list(range(n))] if n > 1 else []
-    singletons = n - sum(map(len, groups))
     # unresolved graphs and pairs after the last non-edge stage so far
-    shared_graphs, edge_pairs = n - singletons, n * (n - 1) // 2
+    shared_graphs, edge_pairs = sum(map(len, groups)), n * (n - 1) // 2
     results: list[StageResult] = []
 
     for k, stage in enumerate(ladder.stages):
@@ -305,34 +302,27 @@ def _walk_ladder(
                 seen.setdefault(states[i].payload(stage), []).append(i)
             for members in seen.values():
                 if len(members) == 1:
-                    singletons += 1
-                    finalize(members[0])
+                    states[members[0]].release(alone=True)
                 else:
                     new_groups.append(members)
         groups = new_groups
-        classes = singletons + len(groups)
-        unresolved_graphs = sum(len(grp) for grp in groups)
+        unresolved_graphs = sum(map(len, groups))
         unresolved_pairs = sum(len(grp) * (len(grp) - 1) // 2 for grp in groups)
+        classes = n - unresolved_graphs + len(groups)
         results.append(StageResult(stage, classes, unresolved_graphs, unresolved_pairs))
         if stage.kind is not StageKind.EDGE:
             shared_graphs, edge_pairs = unresolved_graphs, unresolved_pairs
         if k == last_vertex:
             for grp in groups:
                 for i in grp:
-                    drop_vertex_caches(i)
+                    states[i].release(alone=False)
 
-    final_pairs = [
-        (grp[i], grp[j])
-        for grp in groups
-        for i in range(len(grp))
-        for j in range(i + 1, len(grp))
-    ]
-    final_classes = singletons + len(groups)
-
-    for i in range(n):
-        if states[i] is not None:
-            finalize(i)
-    single_block = sum(single_flags) if vertex_powers else None
+    final_pairs = sorted(pair for grp in groups for pair in itertools.combinations(grp, 2))
+    final_classes = n - sum(map(len, groups)) + len(groups)
+    # the graphs still sharing a class, and a lone graph, release last
+    for state in states:
+        state.release(alone=False)
+    single_block = sum(state.single_block for state in states) if vertex_powers else None
     # an edge stage run before the last vertex stage may have split pairs
     # that a vertex stage would have split: both figures are then unknown
     if any(r.stage.kind is StageKind.EDGE for r in results[: last_vertex + 1]):
@@ -344,7 +334,7 @@ def _walk_ladder(
         stages=results,
         final_classes=final_classes,
         distinguished=final_classes == n,
-        unresolved_pairs=sorted(final_pairs),
+        unresolved_pairs=final_pairs,
         pairs_requiring_edge=edge_pairs,
         shared_vertex_invariant_graphs=shared_graphs,
         single_block_graphs=single_block,
@@ -475,12 +465,6 @@ def group_families(entries) -> list[Family]:
     return sorted(by_key.values(), key=order)
 
 
-# the pool class, None for concurrent.futures': it is imported only when a
-# report starts a pool, so that ``import srginv`` and jobs=1 runs load
-# neither concurrent.futures nor multiprocessing
-ProcessPoolExecutor = None
-
-
 def _family_job(payload) -> DistinguishReport:
     """One family's report; module-level, so a process pool can pickle it."""
     fam, ladder, modulus = payload
@@ -586,11 +570,12 @@ def dataset_report(
     families = group_families(entries)
     payloads = [(fam, ladder, modulus) for fam in families]
     if jobs > 1 and len(payloads) > 1:
-        pool_class = ProcessPoolExecutor
-        if pool_class is None:
-            from concurrent.futures import ProcessPoolExecutor as pool_class
+        # imported only here, so that ``import srginv`` and jobs=1 runs load
+        # neither concurrent.futures nor multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # a forked pool starts all its workers at the first submit
-        with pool_class(max_workers=min(jobs, len(payloads))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             reports = list(pool.map(_family_job, payloads))
     else:
         reports = [_family_job(p) for p in payloads]

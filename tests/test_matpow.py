@@ -232,6 +232,14 @@ def test_invalid_powers_rejected():
         PowerCache(np.ones((2, 2), dtype=np.uint8))
 
 
+def test_diag_arrays_reads_its_powers_once():
+    stack = random_symmetric_stack(2, 5, 3)
+    got = PowerCache(stack).diag_arrays(p for p in (2, 3))
+    assert got.tolist() == PowerCache(stack).diag_arrays((2, 3)).tolist()
+    with pytest.raises(ValueError, match="power list must be nonempty"):
+        PowerCache(stack).diag_arrays([])
+
+
 def test_u64_max_constant():
     assert U64_MAX == 2**64 - 1
 
@@ -418,7 +426,7 @@ def test_leading_columns_key_as_a_fresh_sort():
     rows, key = sorted_rows(table)
     assert rows.dtype == object and type(key) is tuple
     assert keyed_rows(table[row_order(table)])[1] == key
-    for n in (1, 2, len(table)):  # one row keys on its native bytes
+    for n in (1, 2, len(table)):
         order = row_order(table[:n])
         for width in (1, 2):
             fresh = table[:n, :width].astype(np.int64)

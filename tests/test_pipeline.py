@@ -377,7 +377,7 @@ def test_report_pool_is_capped_at_the_family_count(monkeypatch):
         "\n".join(g.to_graph6() for g in (FX["rook4"], FX["shrikhande"], FX["petersen"]))
     )
     serial = dataset_report(entries).to_json()
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     assert dataset_report(entries, jobs=4).to_json() == serial
     assert sizes == [2]
 
@@ -815,3 +815,37 @@ def test_vertex_stage_between_edge_stages(modulus):
         "16-6-2-2": ([(1, 3, 3), (2, 2, 1), (2, 2, 1)], 3),
         "28-12-6-4": ([(4, 2, 1)] * 3, 1),
     }
+
+
+def test_edge_only_ladder_keeps_its_starting_figures():
+    # with no vertex stage there is no single-block flag, and the shared and
+    # edge-pair figures stay those of the whole family
+    petersen = FX["petersen"]
+    graphs = [petersen, *(random_relabel(petersen, seed)[0] for seed in (1, 2))]
+    ladder = LadderConfig((LadderStage(StageKind.EDGE, InvariantMode.TRACE, (2, 3, 4, 5)),))
+    report = distinguish_family(graphs, ladder)
+    assert report.single_block_graphs is None
+    assert report.shared_vertex_invariant_graphs == 3
+    assert report.pairs_requiring_edge == 3
+    assert report.unresolved_pairs == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_lone_graph_runs_no_stage_of_an_edge_first_ladder():
+    report = distinguish_family([FX["petersen"]], MIXED_LADDER)
+    assert report.stages == [] and report.final_classes == 1
+    figures = (
+        report.single_block_graphs,
+        report.shared_vertex_invariant_graphs,
+        report.pairs_requiring_edge,
+    )
+    assert figures == (1, 0, 0)
+
+
+def test_forty_relabelings_stay_one_class_at_every_stage():
+    petersen = FX["petersen"]
+    graphs = [petersen, *(random_relabel(petersen, seed)[0] for seed in range(1, 40))]
+    report = distinguish_family(graphs)
+    counts = [(s.classes, s.unresolved_graphs, s.unresolved_pairs) for s in report.stages]
+    assert counts == [(1, 40, 780)] * 17
+    assert len(report.unresolved_pairs) == 780
+    assert report.single_block_graphs == 40
